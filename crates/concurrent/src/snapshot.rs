@@ -10,15 +10,21 @@
 //! latch, and they seed every pre-image before doing so, so "no chain
 //! under the latch" proves the base value is the snapshot value.
 //!
+//! Traversals (`subtree_of`, `ancestors_of`) hold the shared latch for
+//! the whole walk and serve unversioned nodes from the engine's traversal
+//! cache; see [`Snapshot::subtree_of`] for why that is the snapshot
+//! answer.
+//!
 //! Snapshots never take lock-manager locks, so they can neither block a
-//! writer nor deadlock; writers never wait for snapshots (only the
-//! version-store vacuum does, by skipping pinned versions).
+//! writer nor deadlock. A commit's exclusive publish waits only for the
+//! shared-latch reads already in flight — at most one walk per reader.
 
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use corion_core::schema::lattice;
-use corion_core::{ClassId, DbError, DbResult, Object, Oid, Value};
+use corion_core::{ClassId, Database, DbError, DbResult, Object, Oid, Value};
 use corion_storage::{Lsn, Resolution, VersionKey};
 
 use crate::db::Shared;
@@ -63,29 +69,35 @@ impl Snapshot {
     }
 
     /// Resolve one object at the snapshot LSN: `Ok(None)` means "not
-    /// visible" (never existed, unborn, or deleted by then).
+    /// visible" (never existed, unborn, or deleted by then). Chain hits
+    /// are served latch-free; only the base fallback takes the latch.
     fn read(&self, oid: Oid) -> DbResult<Option<Object>> {
         self.ensure_valid()?;
         match self.shared.versions.resolve(vkey(oid), self.lsn) {
-            Resolution::Image(bytes) => Ok(Some(Object::decode(&bytes).map_err(DbError::from)?)),
+            Resolution::Image(bytes) => Ok(Some(decode(&bytes)?)),
             Resolution::Deleted | Resolution::Unborn => Ok(None),
-            Resolution::Base => {
-                let db = self.shared.db.read();
-                // Re-check under the latch: a commit may have seeded a
-                // chain (and changed the base) since the lock-free probe.
-                match self.shared.versions.resolve(vkey(oid), self.lsn) {
-                    Resolution::Image(bytes) => {
-                        Ok(Some(Object::decode(&bytes).map_err(DbError::from)?))
-                    }
-                    Resolution::Deleted | Resolution::Unborn => Ok(None),
-                    Resolution::Base => match db.get(oid) {
-                        Ok(obj) => Ok(Some(obj)),
-                        Err(DbError::NoSuchObject(_)) => Ok(None),
-                        Err(e) => Err(e),
-                    },
-                }
-            }
+            Resolution::Base => self.read_latched(&self.shared.db.read(), oid),
         }
+    }
+
+    /// [`Snapshot::read`] under a shared latch the caller already holds.
+    fn read_latched(&self, db: &Database, oid: Oid) -> DbResult<Option<Object>> {
+        match self.node(db, oid)? {
+            Some(Node::Image(obj)) => Ok(Some(obj)),
+            Some(Node::Base) => db.get(oid).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Resolve one object under the shared latch `db`. The chain probe
+    /// must run under the latch: a commit may have seeded a chain (and
+    /// changed the base) since any earlier lock-free probe.
+    fn node(&self, db: &Database, oid: Oid) -> DbResult<Option<Node>> {
+        Ok(match self.shared.versions.resolve(vkey(oid), self.lsn) {
+            Resolution::Image(bytes) => Some(Node::Image(decode(&bytes)?)),
+            Resolution::Deleted | Resolution::Unborn => None,
+            Resolution::Base => db.exists(oid).then_some(Node::Base),
+        })
     }
 
     /// Load an object. Errors with `NoSuchObject` if it is not visible
@@ -101,22 +113,20 @@ impl Snapshot {
 
     /// Read one attribute by name.
     pub fn get_attr(&self, oid: Oid, attr: &str) -> DbResult<Value> {
-        let obj = self.get(oid)?;
         let db = self.shared.db.read();
-        let class = db.class(oid.class)?;
-        let idx = class
+        self.ensure_valid()?;
+        let obj = self
+            .read_latched(&db, oid)?
+            .ok_or(DbError::NoSuchObject(oid))?;
+        let no_such_attr = || DbError::NoSuchAttribute {
+            class: oid.class,
+            attr: attr.into(),
+        };
+        let idx = db
+            .class(oid.class)?
             .attr_index(attr)
-            .ok_or_else(|| DbError::NoSuchAttribute {
-                class: oid.class,
-                attr: attr.into(),
-            })?;
-        obj.attrs
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| DbError::NoSuchAttribute {
-                class: oid.class,
-                attr: attr.into(),
-            })
+            .ok_or_else(no_such_attr)?;
+        obj.attrs.get(idx).cloned().ok_or_else(no_such_attr)
     }
 
     /// Direct (or, with `deep`, subclass-inclusive) instances of `class`
@@ -163,16 +173,12 @@ impl Snapshot {
     /// The direct components of `oid`: every reference held in one of
     /// its composite attributes, as visible at this snapshot.
     pub fn components_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        let obj = self.get(oid)?;
         let db = self.shared.db.read();
-        let class = db.class(oid.class)?;
-        let mut out = Vec::new();
-        for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
-            if def.composite.is_some() {
-                out.extend(value.refs());
-            }
-        }
-        Ok(out)
+        self.ensure_valid()?;
+        let obj = self
+            .read_latched(&db, oid)?
+            .ok_or(DbError::NoSuchObject(oid))?;
+        composite_refs(&db, oid, &obj)
     }
 
     /// The composite parents of `oid` (from its reverse references).
@@ -182,17 +188,35 @@ impl Snapshot {
 
     /// Every ancestor of `oid` reachable through composite parents
     /// (transitive closure, `oid` excluded), sorted.
+    ///
+    /// Like [`Snapshot::subtree_of`], one shared-latch hold and one chain
+    /// probe per node; unversioned nodes take their parents from the
+    /// engine's memoised reverse references.
     pub fn ancestors_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        let mut seen = std::collections::HashSet::new();
-        let mut queue = self.parents_of(oid)?;
+        let db = self.shared.db.read();
+        self.ensure_valid()?;
+        let parents = |o: Oid| -> DbResult<Option<Vec<Oid>>> {
+            Ok(match self.node(&db, o)? {
+                Some(Node::Image(obj)) => Some(obj.composite_parents()),
+                Some(Node::Base) => Some(
+                    db.reverse_composite_refs(o)?
+                        .iter()
+                        .map(|r| r.parent)
+                        .collect(),
+                ),
+                None => None,
+            })
+        };
+        let mut seen = HashSet::new();
+        let mut queue = parents(oid)?.ok_or(DbError::NoSuchObject(oid))?;
         let mut out = Vec::new();
         while let Some(p) = queue.pop() {
             if !seen.insert(p) {
                 continue;
             }
             out.push(p);
-            if let Some(obj) = self.read(p)? {
-                queue.extend(obj.composite_parents());
+            if let Some(ps) = parents(p)? {
+                queue.extend(ps);
             }
         }
         out.sort();
@@ -201,22 +225,60 @@ impl Snapshot {
 
     /// The full component subtree below `oid` (transitive closure,
     /// `oid` included), in discovery order.
+    ///
+    /// The walk holds the shared latch once and probes each node's chain
+    /// once. A versioned node decodes its chain image; an unversioned one
+    /// takes its children from the engine's memoised level-1 set. That is
+    /// its snapshot answer: base writes and cache-generation bumps both
+    /// need the exclusive latch, so under the shared latch a node with no
+    /// chain has the same children in the base, the cache and the
+    /// snapshot.
     pub fn subtree_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        let mut seen = std::collections::HashSet::new();
+        let db = self.shared.db.read();
+        self.ensure_valid()?;
+        let mut seen = HashSet::new();
         let mut queue = vec![oid];
         let mut out = Vec::new();
         while let Some(o) = queue.pop() {
             if !seen.insert(o) {
                 continue;
             }
-            if self.read(o)?.is_none() {
-                continue;
+            match self.node(&db, o)? {
+                Some(Node::Image(obj)) => queue.extend(composite_refs(&db, o, &obj)?),
+                Some(Node::Base) => {
+                    queue.extend(db.forward_composite_refs(o)?.iter().map(|&(_, c)| c))
+                }
+                None => continue,
             }
             out.push(o);
-            queue.extend(self.components_of(o)?);
         }
         Ok(out)
     }
+}
+
+/// One visible node, resolved at a snapshot under the shared latch.
+enum Node {
+    /// The snapshot sees this version-chain image.
+    Image(Object),
+    /// No chain: the live base object is the snapshot object.
+    Base,
+}
+
+fn decode(bytes: &[u8]) -> DbResult<Object> {
+    Object::decode(bytes).map_err(DbError::from)
+}
+
+/// Every reference `obj` (an image of `oid`) holds in a composite
+/// attribute, in attribute order.
+fn composite_refs(db: &Database, oid: Oid, obj: &Object) -> DbResult<Vec<Oid>> {
+    let class = db.class(oid.class)?;
+    let mut out = Vec::new();
+    for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
+        if def.composite.is_some() {
+            out.extend(value.refs());
+        }
+    }
+    Ok(out)
 }
 
 impl Drop for Snapshot {

@@ -2,13 +2,15 @@
 //! composites, snapshot isolation, strict 2PL conflict behaviour, and
 //! recovery fencing.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-use corion_concurrent::ConcurrentDb;
-use corion_core::{ClassBuilder, ClassId, CompositeSpec, DbError, Domain, Oid, Value};
+use corion_concurrent::{ConcurrentDb, Snapshot, WriteTxn};
+use corion_core::{ClassBuilder, ClassId, CompositeSpec, DbError, DbResult, Domain, Oid, Value};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Assembly --exclusive/dependent--> set-of Part, plus a string on each.
 fn setup(cdb: &ConcurrentDb) -> (ClassId, ClassId) {
@@ -338,4 +340,307 @@ fn barrier_stress_smoke_disjoint_roots() {
             assert_eq!(n, 20);
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// Snapshot traversals
+// ---------------------------------------------------------------------
+
+/// The per-node snapshot walk `Snapshot::subtree_of` used to run: one
+/// `exists` and one `components_of` per node, never the traversal cache.
+/// The oracle the cached walk is compared against.
+fn subtree_by_node(snap: &Snapshot, oid: Oid) -> Vec<Oid> {
+    let mut seen = HashSet::new();
+    let mut queue = vec![oid];
+    let mut out = Vec::new();
+    while let Some(o) = queue.pop() {
+        if !seen.insert(o) || !snap.exists(o).unwrap() {
+            continue;
+        }
+        out.push(o);
+        queue.extend(snap.components_of(o).unwrap());
+    }
+    out
+}
+
+/// The per-node ancestor walk, `None` when `oid` is not visible.
+fn ancestors_by_node(snap: &Snapshot, oid: Oid) -> Option<Vec<Oid>> {
+    let mut seen = HashSet::new();
+    let mut queue = snap.parents_of(oid).ok()?;
+    let mut out = Vec::new();
+    while let Some(p) = queue.pop() {
+        if !seen.insert(p) {
+            continue;
+        }
+        out.push(p);
+        if let Ok(obj) = snap.get(p) {
+            queue.extend(obj.composite_parents());
+        }
+    }
+    out.sort();
+    Some(out)
+}
+
+type Answers = Vec<(Vec<Oid>, Option<Vec<Oid>>)>;
+
+/// `subtree_of` and `ancestors_of` of every object in `objs`, each
+/// checked against the per-node oracle. Walks twice, so the second walk
+/// runs on whatever the first left in the traversal cache.
+fn answers(snap: &Snapshot, objs: &[Oid]) -> Answers {
+    let walk = || -> Answers {
+        objs.iter()
+            .map(|&o| (snap.subtree_of(o).unwrap(), snap.ancestors_of(o).ok()))
+            .collect()
+    };
+    let got = walk();
+    assert_eq!(got, walk(), "a warm walk must answer like a cold one");
+    let oracle: Answers = objs
+        .iter()
+        .map(|&o| (subtree_by_node(snap, o), ancestors_by_node(snap, o)))
+        .collect();
+    assert_eq!(got, oracle, "snapshot at lsn {}", snap.lsn());
+    got
+}
+
+/// Root --subs--> set-of Asm --parts--> set-of Part, all exclusive and
+/// dependent: a three-level composite so ancestor walks have depth.
+struct Tree {
+    part: ClassId,
+    asm: ClassId,
+    root: Oid,
+    asms: Vec<Oid>,
+    parts: Vec<Oid>,
+}
+
+impl Tree {
+    fn all(&self) -> Vec<Oid> {
+        let mut v = vec![self.root];
+        v.extend(&self.asms);
+        v.extend(&self.parts);
+        v
+    }
+}
+
+fn root_class(cdb: &ConcurrentDb, asm: ClassId) -> ClassId {
+    cdb.with_exclusive(|db| {
+        db.define_class(ClassBuilder::new("Root").attr_composite(
+            "subs",
+            Domain::SetOf(Box::new(Domain::Class(asm))),
+            CompositeSpec {
+                exclusive: true,
+                dependent: true,
+            },
+        ))
+        .unwrap()
+    })
+}
+
+/// One root with two Asms of two Parts each; chains vacuumed away, so
+/// every node resolves to the base.
+fn tree(cdb: &ConcurrentDb) -> Tree {
+    let (part, asm) = setup(cdb);
+    let root_cls = root_class(cdb, asm);
+    let root = cdb.run_write(|t| t.make(root_cls, vec![], vec![])).unwrap();
+    let mut t = Tree {
+        part,
+        asm,
+        root,
+        asms: Vec::new(),
+        parts: Vec::new(),
+    };
+    for _ in 0..2 {
+        let a = cdb
+            .run_write(|w| w.make(asm, vec![], vec![(root, "subs")]))
+            .unwrap();
+        t.asms.push(a);
+        for _ in 0..2 {
+            let p = cdb
+                .run_write(|w| w.make(part, vec![], vec![(a, "parts")]))
+                .unwrap();
+            t.parts.push(p);
+        }
+    }
+    cdb.vacuum();
+    t
+}
+
+/// Pin a snapshot over a warm cache, commit `change`, and check that
+/// the pinned snapshot keeps every answer while fresh snapshots — first
+/// over the new chains, then, after a vacuum, over the base and the
+/// cache — agree with the per-node oracle. Returns the pinned answers,
+/// the fresh answers and the objects `change` returned.
+fn across_commit(
+    cdb: &ConcurrentDb,
+    objs: &[Oid],
+    change: impl FnMut(&mut WriteTxn) -> DbResult<Vec<Oid>>,
+) -> (Answers, Answers, Vec<Oid>) {
+    answers(&cdb.begin_read(), objs); // warms the traversal cache
+    let pinned = cdb.begin_read();
+    let before = answers(&pinned, objs);
+    let made = cdb.run_write(change).unwrap();
+    let mut all = objs.to_vec();
+    all.extend(&made);
+    let old = answers(&pinned, &all);
+    assert_eq!(old[..objs.len()], before[..], "the pinned snapshot moved");
+    for (sub, anc) in &old[objs.len()..] {
+        assert!(sub.is_empty() && anc.is_none(), "unborn at the pin");
+    }
+    let fresh = answers(&cdb.begin_read(), &all);
+    assert_ne!(fresh, old, "the commit must change the tree");
+    drop(pinned);
+    assert!(cdb.vacuum() > 0, "the commit's chains are reclaimable");
+    assert_eq!(answers(&cdb.begin_read(), &all), fresh);
+    (old, fresh, made)
+}
+
+#[test]
+fn pinned_snapshot_traversals_survive_an_added_part() {
+    let cdb = ConcurrentDb::new();
+    let t = tree(&cdb);
+    let a0 = t.asms[0];
+    let (_, fresh, made) = across_commit(&cdb, &t.all(), |w| {
+        Ok(vec![w.make(t.part, vec![], vec![(a0, "parts")])?])
+    });
+    let p = made[0];
+    let all = [t.all(), made.clone()].concat();
+    let at = |o: Oid| &fresh[all.iter().position(|&x| x == o).unwrap()];
+    assert!(at(t.root).0.contains(&p));
+    assert!(at(a0).0.contains(&p));
+    assert_eq!(at(p).1, Some(sorted(vec![t.root, a0])));
+}
+
+#[test]
+fn pinned_snapshot_traversals_survive_a_deleted_member() {
+    let cdb = ConcurrentDb::new();
+    let t = tree(&cdb);
+    let gone = t.parts[0];
+    let (old, fresh, _) = across_commit(&cdb, &t.all(), |w| {
+        w.delete(gone)?;
+        Ok(vec![])
+    });
+    let i = t.all().iter().position(|&x| x == gone).unwrap();
+    assert_eq!(old[i].0, vec![gone]);
+    assert_eq!(fresh[i], (vec![], None));
+    assert!(!fresh[0].0.contains(&gone));
+}
+
+#[test]
+fn pinned_snapshot_traversals_survive_a_new_asm() {
+    let cdb = ConcurrentDb::new();
+    let t = tree(&cdb);
+    let root = t.root;
+    let (_, fresh, made) = across_commit(&cdb, &t.all(), |w| {
+        let a = w.make(t.asm, vec![], vec![(root, "subs")])?;
+        let p = w.make(t.part, vec![], vec![(a, "parts")])?;
+        Ok(vec![a, p])
+    });
+    let n = t.all().len();
+    assert!(made.iter().all(|o| fresh[0].0.contains(o)));
+    assert_eq!(fresh[n].0, made);
+    assert_eq!(fresh[n + 1].1, Some(sorted(vec![root, made[0]])));
+}
+
+fn sorted(mut v: Vec<Oid>) -> Vec<Oid> {
+    v.sort();
+    v
+}
+
+#[cfg(feature = "obs")]
+#[test]
+fn repeated_subtree_walks_hit_the_traversal_cache() {
+    let cdb = ConcurrentDb::new();
+    let t = tree(&cdb);
+    let hits = || {
+        cdb.metrics_snapshot()
+            .counter("corion_traversal_cache_hits_total")
+    };
+    let snap = cdb.begin_read();
+    let first = snap.subtree_of(t.root).unwrap();
+    let before = hits();
+    assert_eq!(snap.subtree_of(t.root).unwrap(), first);
+    assert_eq!(hits() - before, first.len() as u64);
+}
+
+/// Seeded random commits (adds, cascading deletes, detaches, relabels)
+/// with snapshots pinned and released along the way: every pinned
+/// snapshot keeps its answers, and every snapshot's cached walks agree
+/// with the per-node oracle.
+#[test]
+fn snapshot_traversals_match_the_per_node_walk_under_random_commits() {
+    let cdb = ConcurrentDb::new();
+    let t = tree(&cdb);
+    let mut rng = StdRng::seed_from_u64(0x5ca1ab1e);
+    let mut objs = t.all();
+    let mut pinned: Vec<(Snapshot, Answers, usize)> = Vec::new();
+    let live = |cls: ClassId, objs: &[Oid]| -> Vec<Oid> {
+        let snap = cdb.begin_read();
+        objs.iter()
+            .copied()
+            .filter(|&o| o.class == cls && snap.exists(o).unwrap())
+            .collect()
+    };
+    for step in 0..150 {
+        let asms = live(t.asm, &objs);
+        let parts = live(t.part, &objs);
+        let pick = |v: &[Oid], rng: &mut StdRng| v[rng.gen_range(0..v.len())];
+        match rng.gen_range(0..6) {
+            0 | 1 if !asms.is_empty() => {
+                let a = pick(&asms, &mut rng);
+                objs.push(
+                    cdb.run_write(|w| w.make(t.part, vec![], vec![(a, "parts")]))
+                        .unwrap(),
+                );
+            }
+            2 => {
+                let a = cdb
+                    .run_write(|w| w.make(t.asm, vec![], vec![(t.root, "subs")]))
+                    .unwrap();
+                objs.push(a);
+            }
+            3 if !parts.is_empty() => {
+                let p = pick(&parts, &mut rng);
+                cdb.run_write(|w| w.delete(p)).unwrap();
+            }
+            4 if asms.len() > 1 => {
+                let a = pick(&asms, &mut rng);
+                cdb.run_write(|w| w.delete(a)).unwrap();
+            }
+            5 if !parts.is_empty() => {
+                // Detaching a dependent Part orphans it: the orphan
+                // policy deletes it along with the parent's edge.
+                let p = pick(&parts, &mut rng);
+                let from = cdb.begin_read().parents_of(p).unwrap()[0];
+                cdb.run_write(|w| w.remove_component(p, from, "parts"))
+                    .unwrap();
+            }
+            _ => {
+                if let Some(&a) = asms.first() {
+                    let label = Value::Str(format!("s{step}"));
+                    cdb.run_write(|w| w.set_attr(a, "label", label.clone()))
+                        .unwrap();
+                }
+            }
+        }
+        if rng.gen_bool(0.3) {
+            let snap = cdb.begin_read();
+            let ans = answers(&snap, &objs);
+            pinned.push((snap, ans, objs.len()));
+        }
+        if !pinned.is_empty() && rng.gen_bool(0.15) {
+            pinned.remove(rng.gen_range(0..pinned.len()));
+        }
+        if rng.gen_bool(0.1) {
+            cdb.vacuum();
+        }
+        if step % 10 == 9 {
+            answers(&cdb.begin_read(), &objs);
+            for (snap, ans, n) in &pinned {
+                assert_eq!(&answers(snap, &objs[..*n]), ans, "pinned snapshot moved");
+                answers(snap, &objs);
+            }
+        }
+    }
+    pinned.clear();
+    cdb.vacuum();
+    answers(&cdb.begin_read(), &objs);
 }

@@ -23,12 +23,9 @@
 //! so concurrent readers share the cache; mutations require `&mut Database`
 //! and therefore never race a reader.
 //!
-//! **Accounting** is double-booked. The cache increments monotonic
-//! registry counters (`corion_traversal_cache_{hits,misses,invalidations}_total`,
-//! surfaced by [`Database::metrics_snapshot`](crate::db::Database::metrics_snapshot))
-//! and, in parallel, a trio of local atomics serving the deprecated
-//! resettable [`TraversalCacheStats`] shim. The locals go away with the
-//! shim; the registry counters are the contract.
+//! **Accounting** goes to monotonic registry counters
+//! (`corion_traversal_cache_{hits,misses,invalidations}_total`, surfaced
+//! by [`Database::metrics_snapshot`](crate::db::Database::metrics_snapshot)).
 //!
 //! [`Database`]: crate::db::Database
 
@@ -42,22 +39,6 @@ use parking_lot::RwLock;
 use crate::oid::Oid;
 use crate::refs::ReverseRef;
 use crate::schema::attr::CompositeSpec;
-
-/// Counters describing traversal-cache behaviour, surfaced by
-/// [`Database::traversal_cache_stats`](crate::db::Database::traversal_cache_stats)
-/// next to the buffer-pool counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TraversalCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to recompute (and then populated the cache).
-    pub misses: u64,
-    /// Times a lookup found the cache stale and dropped it (at most one per
-    /// generation bump, no matter how many entries were cached).
-    pub invalidations: u64,
-    /// Current hierarchy generation (bumped by every write and DDL change).
-    pub generation: u64,
-}
 
 /// The cached maps, all built under one generation.
 #[derive(Default)]
@@ -100,14 +81,9 @@ pub(crate) struct TraversalCache {
     /// (stale) or could cache an uncommitted one. Suppressed lookups
     /// return `None` and suppressed stores drop the value, both uncounted.
     suppressed: AtomicBool,
-    /// Resettable locals behind the deprecated [`TraversalCacheStats`] shim.
-    /// Only ever updated while holding a `maps` guard (read for hits/misses
-    /// on the fast path, write for the flush), so `reset_stats` can make the
-    /// whole trio consistent by taking the write lock.
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    /// Monotonic registry counters — the canonical accounting.
+    /// Monotonic registry counters. An invalidation is a lookup that found
+    /// the cache stale and dropped it (at most one per generation bump, no
+    /// matter how many entries were cached).
     hits_total: corion_obs::Counter,
     misses_total: corion_obs::Counter,
     invalidations_total: corion_obs::Counter,
@@ -121,9 +97,6 @@ impl TraversalCache {
         TraversalCache {
             generation: AtomicU64::new(0),
             suppressed: AtomicBool::new(false),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             hits_total: registry.counter("corion_traversal_cache_hits_total"),
             misses_total: registry.counter("corion_traversal_cache_misses_total"),
             invalidations_total: registry.counter("corion_traversal_cache_invalidations_total"),
@@ -150,31 +123,6 @@ impl TraversalCache {
         self.suppressed.store(on, Ordering::Relaxed);
     }
 
-    pub(crate) fn stats(&self) -> TraversalCacheStats {
-        TraversalCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            generation: self.generation(),
-        }
-    }
-
-    /// Zeroes the resettable shim counters (never the registry counters —
-    /// those are monotonic by contract).
-    ///
-    /// Takes the maps **write lock** so the three stores are atomic with
-    /// respect to every increment: hits/misses are bumped under the read
-    /// lock and the invalidation count under the write lock, so an unlocked
-    /// reset racing a stale-flush could zero `hits` and `misses` yet keep an
-    /// invalidation from the pre-reset epoch, leaving the trio incoherent
-    /// (`invalidations > 0` with no recorded lookups).
-    pub(crate) fn reset_stats(&self) {
-        let _guard = self.maps.write();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-    }
-
     /// Looks one map up, counting a hit or a miss and flushing stale maps
     /// first. `select` picks the map out of [`Maps`].
     fn lookup<V: Clone>(&self, key: Oid, select: impl Fn(&Maps) -> &HashMap<Oid, V>) -> Option<V> {
@@ -187,12 +135,10 @@ impl TraversalCache {
             if maps.valid_for == gen {
                 return match select(&maps).get(&key) {
                     Some(v) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
                         self.hits_total.inc();
                         Some(v.clone())
                     }
                     None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
                         self.misses_total.inc();
                         None
                     }
@@ -204,13 +150,11 @@ impl TraversalCache {
         let mut maps = self.maps.write();
         if maps.valid_for != gen {
             if !maps.is_empty() {
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
                 self.invalidations_total.inc();
             }
             maps.clear();
             maps.valid_for = gen;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.misses_total.inc();
         None
     }
@@ -270,23 +214,36 @@ mod tests {
         Oid::new(ClassId(1), n)
     }
 
-    fn cache() -> TraversalCache {
-        TraversalCache::new(&Registry::new())
+    fn cache() -> (TraversalCache, Registry) {
+        let registry = Registry::new();
+        (TraversalCache::new(&registry), registry)
+    }
+
+    /// `(hits, misses, invalidations)` from the registry counters (all
+    /// zero when metric recording is compiled out).
+    fn counts(registry: &Registry) -> (u64, u64, u64) {
+        let snap = registry.snapshot();
+        (
+            snap.counter("corion_traversal_cache_hits_total"),
+            snap.counter("corion_traversal_cache_misses_total"),
+            snap.counter("corion_traversal_cache_invalidations_total"),
+        )
     }
 
     #[test]
     fn lookup_counts_hits_and_misses() {
-        let c = cache();
+        let (c, registry) = cache();
         assert!(c.roots(oid(1)).is_none());
         c.store_roots(oid(1), Arc::new(vec![oid(2)]));
         assert_eq!(c.roots(oid(1)).as_deref(), Some(&vec![oid(2)]));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (1, 1, 0));
+        if cfg!(feature = "obs") {
+            assert_eq!(counts(&registry), (1, 1, 0));
+        }
     }
 
     #[test]
     fn bump_invalidates_everything_once() {
-        let c = cache();
+        let (c, registry) = cache();
         c.roots(oid(1));
         c.store_roots(oid(1), Arc::new(vec![]));
         c.ancestors(oid(1));
@@ -295,14 +252,16 @@ mod tests {
         c.bump(); // two bumps, but one flush event
         assert!(c.roots(oid(1)).is_none());
         assert!(c.ancestors(oid(1)).is_none());
-        let s = c.stats();
-        assert_eq!(s.invalidations, 1);
-        assert_eq!(s.generation, 2);
+        assert_eq!(c.generation(), 2);
+        if cfg!(feature = "obs") {
+            assert_eq!(counts(&registry).2, 1);
+            assert_eq!(registry.snapshot().gauge("corion_hierarchy_generation"), 2);
+        }
     }
 
     #[test]
     fn store_under_stale_generation_is_dropped() {
-        let c = cache();
+        let (c, _registry) = cache();
         c.roots(oid(1)); // primes valid_for = 0
         c.bump();
         c.store_roots(oid(1), Arc::new(vec![oid(9)])); // stale: discarded
@@ -311,7 +270,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_entries() {
-        let c = cache();
+        let (c, registry) = cache();
         c.children(oid(7));
         c.store_children(oid(7), Arc::new(vec![]));
         std::thread::scope(|s| {
@@ -323,31 +282,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(c.stats().hits, 400);
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn registry_counters_mirror_the_shim_and_survive_reset() {
-        let registry = Registry::new();
-        let c = TraversalCache::new(&registry);
-        c.roots(oid(1)); // miss
-        c.store_roots(oid(1), Arc::new(vec![]));
-        c.roots(oid(1)); // hit
-        c.bump();
-        c.roots(oid(1)); // invalidation + miss
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("corion_traversal_cache_hits_total"), 1);
-        assert_eq!(snap.counter("corion_traversal_cache_misses_total"), 2);
-        assert_eq!(
-            snap.counter("corion_traversal_cache_invalidations_total"),
-            1
-        );
-        assert_eq!(snap.gauge("corion_hierarchy_generation"), 1);
-        c.reset_stats();
-        assert_eq!(c.stats().hits, 0);
-        // Registry counters are monotonic: a reset must not touch them.
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("corion_traversal_cache_hits_total"), 1);
+        if cfg!(feature = "obs") {
+            assert_eq!(counts(&registry).0, 400);
+        }
     }
 }

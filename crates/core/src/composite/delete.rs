@@ -34,9 +34,11 @@ impl Database {
     }
 
     /// Every forward composite reference held by `oid` — its *level-1
-    /// component set* — as `(attribute spec, referenced component)` pairs.
-    /// Memoised in the traversal cache.
-    pub(crate) fn forward_composite_refs(
+    /// component set* — as `(attribute spec, referenced component)` pairs,
+    /// in attribute order. Memoised in the traversal cache, so it reads the
+    /// live base state: a caller serving an older view must know that
+    /// `oid` is unchanged since that view.
+    pub fn forward_composite_refs(
         &self,
         oid: Oid,
     ) -> DbResult<std::sync::Arc<Vec<(CompositeSpec, Oid)>>> {

@@ -16,6 +16,5 @@ pub mod make;
 pub mod ops;
 pub mod topology;
 
-pub use cache::TraversalCacheStats;
 pub use ops::Filter;
 pub use topology::ParentSets;

@@ -93,8 +93,9 @@ impl Filter {
 
 impl Database {
     /// The reverse composite references of `oid` (§2.4), post-deferred-
-    /// maintenance, memoised in the traversal cache.
-    pub(crate) fn reverse_composite_refs(&self, oid: Oid) -> DbResult<Arc<Vec<ReverseRef>>> {
+    /// maintenance, memoised in the traversal cache. Like
+    /// [`Database::forward_composite_refs`], this is the live base state.
+    pub fn reverse_composite_refs(&self, oid: Oid) -> DbResult<Arc<Vec<ReverseRef>>> {
         if let Some(cached) = self.traversal_cache.parents(oid) {
             return Ok(cached);
         }

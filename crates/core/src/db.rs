@@ -657,15 +657,6 @@ impl Database {
         self.shards.shard_count()
     }
 
-    /// Traversal-cache counters (hits, misses, invalidations, generation).
-    #[deprecated(
-        since = "0.1.0",
-        note = "read the `corion_traversal_cache_*` counters from `Database::metrics_snapshot` instead"
-    )]
-    pub fn traversal_cache_stats(&self) -> crate::composite::cache::TraversalCacheStats {
-        self.traversal_cache.stats()
-    }
-
     /// The current hierarchy generation — bumped by every object write and
     /// every DDL entry point; the traversal cache is valid for exactly one
     /// generation.
@@ -673,10 +664,10 @@ impl Database {
         self.traversal_cache.generation()
     }
 
-    /// Resets storage and traversal-cache counters (not the generation).
+    /// Resets the storage counters. Registry counters, the traversal
+    /// cache's included, are monotonic and never reset.
     pub fn reset_io_stats(&self) {
         self.store.reset_stats();
-        self.traversal_cache.reset_stats();
     }
 
     /// Flushes and empties the page cache (cold-cache experiments).

@@ -68,7 +68,6 @@ pub mod txn;
 pub mod undo;
 pub mod value;
 
-pub use composite::cache::TraversalCacheStats;
 pub use composite::Filter;
 pub use corion_obs::{MetricsSnapshot, Registry};
 pub use corion_storage::{HealthState, ScrubReport};

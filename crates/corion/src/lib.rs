@@ -66,8 +66,7 @@ pub use corion_core::Overlay;
 pub use corion_core::{
     AttributeDef, Class, ClassBuilder, ClassId, CompositeSpec, Database, DbConfig, DbError,
     DbResult, Domain, HealthState, IntegrityReport, MakeSpec, MetricsSnapshot, Object, Oid,
-    OrphanPolicy, ParentRef, RefKind, Registry, RepairReport, ReverseRef, ScrubReport,
-    TraversalCacheStats, Value,
+    OrphanPolicy, ParentRef, RefKind, Registry, RepairReport, ReverseRef, ScrubReport, Value,
 };
 pub use corion_lang::Interpreter;
 pub use corion_lock::{

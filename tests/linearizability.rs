@@ -16,7 +16,10 @@
 //! 2. **Snapshot consistency**: every snapshot pinned *during* the run
 //!    equals the oracle's replay of the prefix of transactions with
 //!    commit LSN ≤ the snapshot's — snapshots never observe partial
-//!    commits or torn prefixes.
+//!    commits or torn prefixes. That holds for object bytes and for
+//!    traversals: each Asm's `subtree_of` and each Part's `ancestors_of`
+//!    match the replay's `components_of` and `ancestors_of`, and so do
+//!    the root walks the pinner made while the writers were committing.
 //!
 //! Schedule count and seeding are environment-controlled so CI can run
 //! a wide sweep while the default test stays fast, and any failure is
@@ -35,12 +38,12 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use corion::storage::Lsn;
 use corion::{
-    ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, DbError, Domain, Object, Oid,
-    Snapshot, Value,
+    ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, DbError, Domain, Filter, Object,
+    Oid, Snapshot, Value,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -125,6 +128,57 @@ fn fingerprint_snapshot(snap: &Snapshot, classes: &[ClassId]) -> BTreeMap<Oid, V
         }
     }
     out
+}
+
+fn sorted(mut v: Vec<Oid>) -> Vec<Oid> {
+    v.sort();
+    v
+}
+
+/// Sorted `subtree_of` of each root through a snapshot.
+fn walk_roots(snap: &Snapshot, roots: &[Oid]) -> Vec<Vec<Oid>> {
+    roots
+        .iter()
+        .map(|&r| sorted(snap.subtree_of(r).unwrap()))
+        .collect()
+}
+
+/// A snapshot's traversals must equal the prefix replay's: every live
+/// Asm's subtree is its replayed components plus itself, every live
+/// Part's ancestors are its replayed ancestors, and the root walks
+/// recorded while the writers ran are the replayed root subtrees.
+fn check_traversals(
+    snap: &Snapshot,
+    prefix: &Database,
+    (part, asm): (ClassId, ClassId),
+    roots: &[Oid],
+    recorded: &[Vec<Oid>],
+) {
+    let lsn = snap.lsn();
+    let subtree = |a: Oid| {
+        let mut v = prefix.components_of(a, &Filter::all()).unwrap();
+        v.push(a);
+        sorted(v)
+    };
+    for a in prefix.instances_of(asm, false) {
+        assert_eq!(
+            sorted(snap.subtree_of(a).unwrap()),
+            subtree(a),
+            "subtree_of({a:?}) at lsn {lsn}"
+        );
+    }
+    for p in prefix.instances_of(part, false) {
+        assert_eq!(
+            sorted(snap.ancestors_of(p).unwrap()),
+            sorted(prefix.ancestors_of(p, &Filter::all()).unwrap()),
+            "ancestors_of({p:?}) at lsn {lsn}"
+        );
+    }
+    let expected: Vec<Vec<Oid>> = roots.iter().map(|&r| subtree(r)).collect();
+    assert_eq!(
+        recorded, expected,
+        "root walks recorded during the run at lsn {lsn}"
+    );
 }
 
 /// Replay the committed prefix with LSN ≤ `upto` in LSN order against a
@@ -358,16 +412,26 @@ fn run_schedule(seed: u64) {
     }
 
     // Snapshot pinner: pins up to PINNED_SNAPSHOTS consistent views at
-    // staggered moments while the writers run.
+    // staggered moments while the writers run, recording each one's root
+    // walks. Between pins it re-walks every pinned view, so traversals
+    // overlap commits and the cache-generation bumps they make.
     let done = Arc::new(AtomicBool::new(false));
     let pinner = {
         let cdb = cdb.clone();
         let done = Arc::clone(&done);
+        let roots = roots.clone();
         thread::spawn(move || {
-            let mut pinned = Vec::new();
+            let mut pinned: Vec<(Snapshot, Vec<Vec<Oid>>)> = Vec::new();
             while pinned.len() < PINNED_SNAPSHOTS && !done.load(Ordering::SeqCst) {
-                pinned.push(cdb.begin_read());
-                thread::sleep(Duration::from_millis(2));
+                let snap = cdb.begin_read();
+                let walks = walk_roots(&snap, &roots);
+                pinned.push((snap, walks));
+                let until = Instant::now() + Duration::from_millis(2);
+                while Instant::now() < until && !done.load(Ordering::SeqCst) {
+                    for (snap, walks) in &pinned {
+                        assert_eq!(&walk_roots(snap, &roots), walks, "a pinned walk moved");
+                    }
+                }
             }
             pinned
         })
@@ -457,7 +521,7 @@ fn run_schedule(seed: u64) {
     );
 
     // 2. Every pinned snapshot equals the oracle's prefix replay.
-    for snap in &pinned {
+    for (snap, walks) in &pinned {
         let (prefix, _, _) = oracle_replay(&log, snap.lsn());
         let expected = fingerprint_db(&prefix, &[asm, part]);
         let actual = fingerprint_snapshot(snap, &[asm, part]);
@@ -467,7 +531,16 @@ fn run_schedule(seed: u64) {
             "snapshot at lsn {} does not match its commit-prefix",
             snap.lsn()
         );
+        check_traversals(snap, &prefix, (part, asm), &roots, walks);
     }
+    let fresh = cdb.begin_read();
+    check_traversals(
+        &fresh,
+        &oracle,
+        (part, asm),
+        &roots,
+        &walk_roots(&fresh, &roots),
+    );
 }
 
 /// Writer threads per schedule (`CORION_LIN_THREADS`, default 4).

@@ -4,8 +4,7 @@
 //! Covers, in order: (1) a crash-matrix-style soak proving the WAL
 //! append/flush/recovery counters are live after repeated armed crashes
 //! and recoveries; (2) line-by-line validation of the Prometheus text
-//! exposition; (3) equivalence of the deprecated
-//! [`Database::traversal_cache_stats`] shim with the registry counters,
+//! exposition; (3) the traversal-cache counters as registry deltas,
 //! including monotonicity across `reset_io_stats`; (4) span events from
 //! §3 traversals and the autocommit path reaching a global subscriber;
 //! (5) snapshot text round-trip and merge semantics on live engine data.
@@ -256,55 +255,52 @@ fn prometheus_rendering_parses_line_by_line() {
 }
 
 // ---------------------------------------------------------------------
-// (3) Deprecated shim equivalence
+// (3) Traversal-cache counters
 // ---------------------------------------------------------------------
 
-#[test]
-#[allow(deprecated)]
-fn deprecated_cache_stats_shim_mirrors_registry_counters() {
-    let (mut db, parts, asms) = parts_db();
-    soak(&mut db, &parts, &asms);
+/// `(hits, misses, invalidations)` of the traversal cache.
+fn cache_counts(snap: &MetricsSnapshot) -> (u64, u64, u64) {
+    (
+        snap.counter("corion_traversal_cache_hits_total"),
+        snap.counter("corion_traversal_cache_misses_total"),
+        snap.counter("corion_traversal_cache_invalidations_total"),
+    )
+}
 
-    let stats = db.traversal_cache_stats();
+/// Counter growth from `before` to the engine's current registry.
+fn cache_delta(db: &Database, before: (u64, u64, u64)) -> (u64, u64, u64) {
+    let now = cache_counts(&db.metrics_snapshot());
+    (now.0 - before.0, now.1 - before.1, now.2 - before.2)
+}
+
+#[test]
+fn traversal_cache_counters_move_as_registry_deltas() {
+    let (mut db, parts, asms) = parts_db();
+    let start = cache_counts(&db.metrics_snapshot());
+    soak(&mut db, &parts, &asms);
+    let (hits, misses, invalidations) = cache_delta(&db, start);
+    assert!(hits > 0 && misses > 0 && invalidations > 0);
     let snap = db.metrics_snapshot();
-    assert!(stats.hits > 0 && stats.misses > 0 && stats.invalidations > 0);
-    assert_eq!(
-        stats.hits,
-        snap.counter("corion_traversal_cache_hits_total")
-    );
-    assert_eq!(
-        stats.misses,
-        snap.counter("corion_traversal_cache_misses_total")
-    );
-    assert_eq!(
-        stats.invalidations,
-        snap.counter("corion_traversal_cache_invalidations_total")
-    );
     assert_eq!(
         snap.gauge("corion_hierarchy_generation"),
         i64::try_from(db.hierarchy_generation()).unwrap()
     );
 
-    // The shim is resettable; the registry counters are monotonic and
-    // survive the reset untouched.
+    // Registry counters are monotonic: resetting the I/O counters
+    // leaves them untouched.
     db.reset_io_stats();
-    let stats = db.traversal_cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.invalidations), (0, 0, 0));
-    let after = db.metrics_snapshot();
-    assert_eq!(
-        after.counter("corion_traversal_cache_hits_total"),
-        snap.counter("corion_traversal_cache_hits_total")
-    );
-    // And both sides keep counting in step from their own baselines.
+    assert_eq!(cache_delta(&db, cache_counts(&snap)), (0, 0, 0));
+
+    // After a write the first walk drops the stale maps once and misses
+    // on every node it expands; the second walk hits on every one.
+    db.set_attr(parts[0], "text", Value::Str("again".into()))
+        .unwrap();
+    let before = cache_counts(&db.metrics_snapshot());
+    let walked = 1 + db.components_of(asms[0], &Filter::all()).unwrap().len() as u64;
+    assert_eq!(cache_delta(&db, before), (0, walked, 1));
+    let before = cache_counts(&db.metrics_snapshot());
     db.components_of(asms[0], &Filter::all()).unwrap();
-    db.components_of(asms[0], &Filter::all()).unwrap();
-    let stats = db.traversal_cache_stats();
-    let now = db.metrics_snapshot();
-    assert_eq!(
-        stats.hits,
-        now.counter("corion_traversal_cache_hits_total")
-            - snap.counter("corion_traversal_cache_hits_total")
-    );
+    assert_eq!(cache_delta(&db, before), (walked, 0, 0));
 }
 
 // ---------------------------------------------------------------------
