@@ -36,8 +36,8 @@ pub(crate) struct EngineMetrics {
     /// near zero; the single-stripe baseline serializes here.
     pub(crate) latch_wait: Histogram,
     /// `corion_shard_latch_hold_ns`: time the engine latch was *held*
-    /// per acquisition — operation execution, commit publish, or an
-    /// installed-overlay view.
+    /// per acquisition — operation execution (in-transaction views
+    /// included) or commit publish.
     pub(crate) latch_hold: Histogram,
 }
 
@@ -59,8 +59,8 @@ pub(crate) struct Shared {
     /// The single-threaded engine behind a reader-writer latch. Readers
     /// (snapshot base fallbacks, lock planning, and — when the engine
     /// has more than one object-table stripe — per-operation overlay
-    /// execution) take the shared side; only the commit-publish critical
-    /// section, installed-overlay views, and maintenance take the
+    /// execution and in-transaction views) take the shared side; only the
+    /// commit-publish critical section and maintenance take the
     /// exclusive side *briefly* — transactions never hold either side
     /// across lock waits or between operations. With a single stripe
     /// (`DbConfig::shards == 1`) operations fall back to the exclusive
@@ -113,8 +113,8 @@ impl Drop for OpLatch<'_> {
     }
 }
 
-/// An *exclusive* latch acquisition — the commit-publish critical section
-/// and installed-overlay views. Records the hold duration on release.
+/// An *exclusive* latch acquisition — the commit-publish critical
+/// section. Records the hold duration on release.
 pub(crate) struct ExclusiveLatch<'a> {
     guard: RwLockWriteGuard<'a, Database>,
     hold: Histogram,
@@ -164,9 +164,8 @@ impl Shared {
     }
 
     /// Latch the engine exclusively — the short commit-publish critical
-    /// section (overlay apply, LSN allocation, version publish) and
-    /// installed-overlay views. Acquisition time lands in
-    /// `corion_shard_latch_wait_ns`.
+    /// section (overlay apply, LSN allocation, version publish).
+    /// Acquisition time lands in `corion_shard_latch_wait_ns`.
     pub(crate) fn exclusive_latch(&self) -> ExclusiveLatch<'_> {
         let wait = Instant::now();
         let guard = self.db.write();

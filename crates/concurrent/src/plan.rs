@@ -35,9 +35,7 @@ pub enum OpTarget {
     NewInstance(ClassId),
 }
 
-/// Read one object through the overlay-then-base view. The overlay is
-/// *not* installed during planning (planning holds only the shared
-/// latch), so the layering is done by hand here.
+/// Read one object through the overlay-then-base view.
 fn view_get(db: &Database, overlay: &Overlay, oid: Oid) -> Option<Object> {
     match overlay.lookup(oid) {
         Some(img) => img.cloned(),
@@ -185,9 +183,9 @@ mod tests {
         let free = db.make(part, vec![], vec![]).unwrap();
 
         // Attach `free` under `root` inside an overlay only.
-        db.overlay_install(Overlay::new()).unwrap();
-        db.make_component(free, root, "parts").unwrap();
-        let ov = db.overlay_take().unwrap();
+        let mut ov = Overlay::new();
+        db.overlay_make_component(&mut ov, free, root, "parts")
+            .unwrap();
 
         let roots = roots_of_view(&db, &ov, free);
         assert_eq!(roots, vec![root]);

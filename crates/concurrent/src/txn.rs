@@ -21,7 +21,11 @@
 //!    reads stripe across the per-shard locks. With a single stripe the
 //!    exclusive latch is taken instead — the honest single-latch
 //!    baseline. Either way the latch is held for the duration of the
-//!    operation, not the transaction.
+//!    operation, not the transaction. Reads take the same path:
+//!    [`WriteTxn::get`], [`WriteTxn::exists`] and the multi-object
+//!    [`WriteTxn::with_view`] read overlay-first through `&Database` and
+//!    the overlay ([`Database::overlay_get`] and friends). The overlay is
+//!    never mounted inside the engine.
 //!
 //! [`WriteTxn::commit`] is the only point where the shared page store
 //! changes. After-images are encoded from the overlay with no latch at
@@ -36,7 +40,6 @@
 //! histograms.
 
 use std::collections::HashSet;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -68,9 +71,8 @@ pub struct WriteTxn {
     shared: Arc<Shared>,
     txn: TxnId,
     epoch: u64,
-    /// The private write set. `None` only transiently while installed
-    /// into the engine, and permanently once the transaction is done.
-    overlay: Option<Overlay>,
+    /// The private write set (emptied once the transaction is done).
+    overlay: Overlay,
     held: HashSet<(Lockable, LockMode)>,
     /// Set when the transaction aborted (deadlock victim or explicit):
     /// every further operation fails fast.
@@ -87,7 +89,7 @@ impl WriteTxn {
             shared,
             txn,
             epoch,
-            overlay: Some(Overlay::new()),
+            overlay: Overlay::new(),
             held: HashSet::new(),
             done: false,
             ops: 0,
@@ -123,7 +125,7 @@ impl WriteTxn {
             return;
         }
         self.done = true;
-        self.overlay = None;
+        self.overlay = Overlay::new();
         self.shared.locks.release_all(self.txn);
         self.shared.metrics.aborts.inc();
     }
@@ -138,8 +140,7 @@ impl WriteTxn {
         for _ in 0..MAX_ROUNDS {
             let wanted: Vec<(Lockable, LockMode)> = {
                 let db = self.shared.db.read();
-                let overlay = self.overlay.as_ref().expect("open txn has an overlay");
-                plan(&db, overlay, targets, intent)
+                plan(&db, &self.overlay, targets, intent)
             };
             let fresh: Vec<(Lockable, LockMode)> = wanted
                 .into_iter()
@@ -193,44 +194,10 @@ impl WriteTxn {
                 reason: "the engine recovered while this transaction was open".into(),
             });
         }
-        let overlay = self.overlay.as_mut().expect("open txn has an overlay");
-        let result = f(&db, overlay);
+        let result = f(&db, &mut self.overlay);
         drop(db);
         self.ops += 1;
         result
-    }
-
-    /// Run `f` against the engine with this transaction's overlay
-    /// *installed*, under the exclusive latch. Only multi-object view
-    /// logic ([`WriteTxn::with_view`]) still installs the overlay; every
-    /// mutation and single-object read goes through [`WriteTxn::exec_op`]
-    /// and the external-overlay API instead.
-    fn with_installed<R>(&mut self, f: impl FnOnce(&Database) -> DbResult<R>) -> DbResult<R> {
-        let mut db = self.shared.exclusive_latch();
-        if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
-            drop(db);
-            self.abort_internal();
-            return Err(DbError::TransactionState {
-                reason: "the engine recovered while this transaction was open".into(),
-            });
-        }
-        let overlay = self.overlay.take().expect("open txn has an overlay");
-        if let Err(e) = db.overlay_install(overlay) {
-            // Can only happen if an exclusive-access user left the
-            // engine in a transaction scope; surface it, keep the txn.
-            self.overlay = Some(Overlay::new());
-            return Err(e);
-        }
-        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&db)));
-        self.overlay = Some(db.overlay_take().expect("overlay still installed"));
-        drop(db);
-        match result {
-            Ok(r) => {
-                self.ops += 1;
-                r
-            }
-            Err(payload) => panic::resume_unwind(payload),
-        }
     }
 
     /// Plan + acquire + execute one operation.
@@ -313,8 +280,7 @@ impl WriteTxn {
         self.ensure_open()?;
         let targets: Vec<OpTarget> = {
             let db = self.shared.db.read();
-            let overlay = self.overlay.as_ref().expect("open txn has an overlay");
-            subtree_of_view(&db, overlay, root)
+            subtree_of_view(&db, &self.overlay, root)
                 .into_iter()
                 .map(OpTarget::Object)
                 .collect()
@@ -339,8 +305,7 @@ impl WriteTxn {
         self.ensure_open()?;
         let targets: Vec<OpTarget> = {
             let db = self.shared.db.read();
-            let overlay = self.overlay.as_ref().expect("open txn has an overlay");
-            let mut t: Vec<OpTarget> = subtree_of_view(&db, overlay, child)
+            let mut t: Vec<OpTarget> = subtree_of_view(&db, &self.overlay, child)
                 .into_iter()
                 .map(OpTarget::Object)
                 .collect();
@@ -387,19 +352,22 @@ impl WriteTxn {
         self.acquire_for(&[OpTarget::Object(root)], intent)
     }
 
-    /// Run an arbitrary closure against the engine with this
-    /// transaction's overlay installed, after taking the §7 Read lock
-    /// set for `roots`. Escape hatch for multi-object read logic
-    /// (traversals, predicates) inside a write transaction.
+    /// Run an arbitrary read-only closure against the engine and this
+    /// transaction's overlay, after taking the §7 Read lock set for
+    /// `roots`. Escape hatch for multi-object read logic (traversals,
+    /// predicates) inside a write transaction: read through the
+    /// overlay-first API ([`Database::overlay_get`],
+    /// [`Database::overlay_exists`], [`Database::overlay_instances_of`])
+    /// to see the transaction's own writes. Runs under the operation
+    /// latch, like every other operation — shared on a sharded engine,
+    /// so an open view never blocks other writers.
     pub fn with_view<R>(
         &mut self,
         roots: &[Oid],
-        f: impl FnOnce(&Database) -> DbResult<R>,
+        f: impl FnOnce(&Database, &Overlay) -> DbResult<R>,
     ) -> DbResult<R> {
         let targets: Vec<OpTarget> = roots.iter().copied().map(OpTarget::Object).collect();
-        self.ensure_open()?;
-        self.acquire_for(&targets, LockIntent::Read)?;
-        self.with_installed(f)
+        self.run_op(&targets, LockIntent::Read, |db, ov| f(db, ov))
     }
 
     // ----------------------------------------------------------------
@@ -420,7 +388,7 @@ impl WriteTxn {
     /// [`ConcurrentDb::recover`]ed before further mutations.
     pub fn commit(mut self) -> DbResult<Lsn> {
         self.ensure_open()?;
-        let overlay = self.overlay.take().expect("open txn has an overlay");
+        let overlay = std::mem::take(&mut self.overlay);
 
         if overlay.is_empty() {
             // Nothing to apply or publish, but the commit still takes a

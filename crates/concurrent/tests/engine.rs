@@ -87,6 +87,64 @@ fn disjoint_composite_writers_overlap_in_time() {
     });
 }
 
+#[test]
+fn an_open_in_transaction_view_does_not_block_other_writers() {
+    // A view reads the engine and the transaction's overlay under the
+    // shared operation latch, so while it runs a writer on a disjoint
+    // composite can still execute; it commits once the view returns.
+    let cdb = ConcurrentDb::new();
+    let (part, asm) = setup(&cdb);
+    let root_a = mk_root(&cdb, asm, "A");
+    let root_b = mk_root(&cdb, asm, "B");
+
+    let mut txn_a = cdb.begin_write();
+    let a_part = txn_a
+        .make(
+            part,
+            vec![("tag", Value::Str("a1".into()))],
+            vec![(root_a, "parts")],
+        )
+        .unwrap();
+
+    let cdb2 = cdb.clone();
+    let (made_tx, made_rx) = mpsc::channel();
+    let (commit_tx, commit_rx) = mpsc::channel::<()>();
+    let (seen, handle, made_during_view) = txn_a
+        .with_view(&[root_a], |db, ov| {
+            let handle = thread::spawn(move || {
+                let mut txn_b = cdb2.begin_write();
+                let b_part = txn_b
+                    .make(
+                        part,
+                        vec![("tag", Value::Str("b1".into()))],
+                        vec![(root_b, "parts")],
+                    )
+                    .unwrap();
+                made_tx.send(()).unwrap();
+                commit_rx.recv().unwrap();
+                txn_b.commit().unwrap();
+                b_part
+            });
+            let made = made_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+            let seen = db.overlay_get(ov, root_a)?.attrs[1].refs();
+            Ok((seen, handle, made))
+        })
+        .unwrap();
+    commit_tx.send(()).unwrap();
+    let b_part = handle.join().unwrap();
+    assert!(
+        made_during_view,
+        "writer B must not block behind an open in-transaction view"
+    );
+    assert_eq!(seen, vec![a_part], "the view sees A's own uncommitted part");
+
+    txn_a.commit().unwrap();
+    cdb.with_read(|db| {
+        assert!(db.exists(a_part));
+        assert!(db.exists(b_part));
+    });
+}
+
 /// Helper used by the test above via `with_read`.
 trait ComponentsFree {
     fn components_of_snapshot_free(&self, root: Oid) -> Vec<Oid>;

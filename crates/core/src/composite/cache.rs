@@ -10,9 +10,10 @@
 //! **Invalidation** is deliberately coarse: the [`Database`] bumps a
 //! monotonically increasing *hierarchy generation* on every object write
 //! (`save`/`insert_object`/`erase` — which covers `make_component`,
-//! `set_attr`, the recursive Deletion Rule, and undo rollback) and on every
-//! DDL entry point (schema evolution can change reference flags *without*
-//! touching stored objects, via the deferred operation logs of §4.3). A
+//! `set_attr` and the recursive Deletion Rule; a transaction folds its
+//! writes into one bump at commit or abort) and on every DDL entry point
+//! (schema evolution can change reference flags *without* touching stored
+//! objects, via the deferred operation logs of §4.3). A
 //! lookup that observes a generation newer than the one the cached maps
 //! were built under drops the whole cache. Coarse invalidation trades
 //! repeat-read speed for write-path simplicity — exactly the right trade

@@ -92,9 +92,7 @@ pub struct Database {
     /// mutation paths hold `&mut self` and use plain load/store.
     pub(crate) next_serial: AtomicU64,
     pub(crate) config: DbConfig,
-    pub(crate) undo: Option<crate::undo::UndoLog>,
     pub(crate) txn: Option<crate::txn::TxnState>,
-    pub(crate) overlay: Option<crate::overlay::Overlay>,
     pub(crate) traversal_cache: crate::composite::cache::TraversalCache,
     pub(crate) registry: corion_obs::Registry,
     pub(crate) metrics: crate::metrics::CoreMetrics,
@@ -150,9 +148,7 @@ impl Database {
             oplogs: HashMap::new(),
             next_serial: AtomicU64::new(0),
             config,
-            undo: None,
             txn: None,
-            overlay: None,
             traversal_cache: crate::composite::cache::TraversalCache::new(&registry),
             metrics,
             registry,
@@ -245,12 +241,6 @@ impl Database {
     ///   half-created instance) — those compensation writes are **committed**
     ///   so storage and the in-memory maps stay in step.
     pub(crate) fn atomic<R>(&mut self, f: impl FnOnce(&mut Self) -> DbResult<R>) -> DbResult<R> {
-        if self.overlay.is_some() {
-            // Overlay writes never reach the page store, so there is
-            // nothing to journal yet; the whole transaction becomes one
-            // batch at `overlay_apply` time.
-            return f(self);
-        }
         if self.store.in_atomic_batch() {
             let result = f(self);
             if let Some(txn) = self.txn.as_mut() {
@@ -298,7 +288,7 @@ impl Database {
     /// requested co-location (`same_segment_as`), which is what enables
     /// parent clustering between the two classes.
     pub fn define_class(&mut self, builder: ClassBuilder) -> DbResult<ClassId> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         let segment = match builder.share_segment_with {
             Some(other) => self.catalog.class(other)?.segment,
@@ -336,11 +326,6 @@ impl Database {
 
     /// True if `oid` resolves to a live object.
     pub fn exists(&self, oid: Oid) -> bool {
-        if let Some(ov) = &self.overlay {
-            if let Some(e) = ov.entries.get(&oid) {
-                return e.image.is_some();
-            }
-        }
         self.shards.contains(oid)
     }
 
@@ -354,13 +339,6 @@ impl Database {
     /// pending log entries on every read until then is idempotent (the
     /// operation log is never pruned, and each flag change is a fixpoint).
     pub fn get(&self, oid: Oid) -> DbResult<Object> {
-        if let Some(ov) = &self.overlay {
-            if let Some(e) = ov.entries.get(&oid) {
-                let mut obj = e.image.clone().ok_or(DbError::NoSuchObject(oid))?;
-                self.apply_pending_changes(&mut obj)?;
-                return Ok(obj);
-            }
-        }
         let phys = self.shards.get(oid).ok_or(DbError::NoSuchObject(oid))?;
         let bytes = self.store.read(phys)?;
         let mut obj = Object::decode(&bytes)?;
@@ -380,36 +358,19 @@ impl Database {
     /// commit/abort (the cache is suppressed meanwhile, so no stale entry
     /// can be served).
     pub(crate) fn note_hierarchy_change(&self) {
-        if self.txn.is_none() && self.overlay.is_none() {
+        if self.txn.is_none() {
             self.traversal_cache.bump();
         }
     }
 
     /// Persists an object at its current address (relocating if it grew).
-    /// With a write overlay installed the image lands in the overlay and
-    /// the base store is untouched.
     pub(crate) fn save(&mut self, obj: &Object) -> DbResult<()> {
-        if let Some(ov) = &mut self.overlay {
-            let live = match ov.entries.get(&obj.oid) {
-                Some(e) => e.image.is_some(),
-                None => self.shards.contains(obj.oid),
-            };
-            if !live {
-                return Err(DbError::NoSuchObject(obj.oid));
-            }
-            ov.record_save(obj);
-            return Ok(());
-        }
         self.note_hierarchy_change();
         self.txn_note_touch(obj.oid);
         let phys = self
             .shards
             .get(obj.oid)
             .ok_or(DbError::NoSuchObject(obj.oid))?;
-        if self.undo.is_some() {
-            let before = Object::decode(&self.store.read(phys)?)?;
-            self.undo_note_touch(obj.oid, Some(before));
-        }
         let mut buf = Vec::new();
         obj.encode(&mut buf);
         let new_phys = self.store.update(phys, &buf)?;
@@ -420,14 +381,7 @@ impl Database {
     }
 
     /// Inserts a brand-new object, clustered near `near` when possible.
-    /// With a write overlay installed the object lands in the overlay
-    /// (the clustering hint is captured and honoured at commit).
     pub(crate) fn insert_object(&mut self, obj: &Object, near: Option<Oid>) -> DbResult<()> {
-        if let Some(ov) = &mut self.overlay {
-            self.catalog.class(obj.oid.class)?;
-            ov.record_insert(obj, near);
-            return Ok(());
-        }
         self.note_hierarchy_change();
         self.txn_note_touch(obj.oid);
         let segment = self.catalog.class(obj.oid.class)?.segment;
@@ -436,33 +390,15 @@ impl Database {
         obj.encode(&mut buf);
         let phys = self.store.insert(segment, &buf, near_phys)?;
         self.shards.insert(obj.oid, phys);
-        self.undo_note_touch(obj.oid, None);
         Ok(())
     }
 
     /// Removes an object from storage and the object table (no semantics —
-    /// the Deletion Rule lives in [`crate::composite::delete`]). With a
-    /// write overlay installed this records a private tombstone.
+    /// the Deletion Rule lives in [`crate::composite::delete`]).
     pub(crate) fn erase(&mut self, oid: Oid) -> DbResult<()> {
-        if let Some(ov) = &mut self.overlay {
-            let in_base = self.shards.contains(oid);
-            let live = match ov.entries.get(&oid) {
-                Some(e) => e.image.is_some(),
-                None => in_base,
-            };
-            if !live {
-                return Err(DbError::NoSuchObject(oid));
-            }
-            ov.record_erase(oid, in_base);
-            return Ok(());
-        }
         self.note_hierarchy_change();
         self.txn_note_touch(oid);
         let phys = self.shards.remove(oid).ok_or(DbError::NoSuchObject(oid))?;
-        if self.undo.is_some() {
-            let before = Object::decode(&self.store.read(phys)?)?;
-            self.undo_note_touch(oid, Some(before));
-        }
         self.store.delete(phys)?;
         Ok(())
     }
@@ -475,41 +411,13 @@ impl Database {
                 out.extend(self.shards.class_members_sorted(sub));
             }
         }
-        if let Some(ov) = &self.overlay {
-            let in_scope = |c: ClassId| {
-                c == class || (deep && lattice::is_subclass_of(&self.catalog, c, class))
-            };
-            for (oid, e) in &ov.entries {
-                if !in_scope(oid.class) {
-                    continue;
-                }
-                match (&e.image, e.created) {
-                    (Some(_), true) => out.push(*oid),
-                    (None, false) => out.retain(|o| o != oid),
-                    _ => {}
-                }
-            }
-            out.sort();
-            out.dedup();
-        }
         out
     }
 
-    /// Total number of live objects (overlay-adjusted while a write
-    /// overlay is installed). A lock-free sum of per-shard counters —
-    /// never a map walk, so statistics never stall writers.
+    /// Total number of live objects. A lock-free sum of per-shard
+    /// counters — never a map walk, so statistics never stall writers.
     pub fn object_count(&self) -> usize {
-        let mut n = self.shards.len();
-        if let Some(ov) = &self.overlay {
-            for e in ov.entries.values() {
-                match (&e.image, e.created) {
-                    (Some(_), true) => n += 1,
-                    (None, false) => n -= 1,
-                    _ => {}
-                }
-            }
-        }
-        n
+        self.shards.len()
     }
 
     // ------------------------------------------------------------------
@@ -704,14 +612,12 @@ impl Database {
     /// committed WAL tail into the page store, discards any torn or
     /// uncommitted suffix, then rebuilds the engine's in-memory maps —
     /// object table, class extensions, serial counter — by scanning every
-    /// recovered segment. Any open undo scope is discarded (its log may
-    /// reference rolled-back state).
+    /// recovered segment.
     ///
     /// Idempotent: recovering an already-consistent engine is a no-op
     /// beyond the rescan.
     pub fn recover(&mut self) -> DbResult<corion_storage::RecoveryReport> {
         let report = self.store.recover()?;
-        self.undo = None;
         // A transaction open at the crash never committed; the rebuild
         // below restores the pre-transaction truth from storage.
         self.txn = None;
@@ -921,7 +827,7 @@ impl Database {
 
     /// Overwrites an object's stored image **without any composite
     /// bookkeeping**: no Make-Component checks, no reverse-reference
-    /// maintenance, no undo record. This deliberately breaks the engine's
+    /// maintenance. This deliberately breaks the engine's
     /// invariants — it exists so integrity tests can construct corrupted
     /// states and so [`Database::repair`] can rewrite objects wholesale.
     /// The object must already exist.

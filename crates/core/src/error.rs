@@ -95,8 +95,8 @@ pub enum DbError {
     /// A transaction-control request that the engine's current state
     /// forbids: nested `begin_transaction`, `commit`/`abort` with no
     /// transaction open, DDL or `make_many` forward references inside a
-    /// transaction, mixing transactions with an undo scope, or committing
-    /// a transaction that already hit a storage fault.
+    /// transaction, `dump` inside a transaction, or committing a
+    /// transaction that already hit a storage fault.
     TransactionState {
         /// Explanation.
         reason: String,

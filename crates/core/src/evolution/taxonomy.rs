@@ -29,7 +29,7 @@ impl Database {
     /// A must be locally defined on C (to drop an inherited attribute,
     /// remove the IS-A edge or drop it on the definer).
     pub fn drop_attribute(&mut self, class: ClassId, attr: &str) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         let c = self.catalog.class(class)?;
         let def = c.attr(attr).ok_or_else(|| DbError::NoSuchAttribute {
@@ -57,7 +57,7 @@ impl Database {
     /// Adds a local attribute to a class; existing instances (of the class
     /// and of inheriting subclasses) take the attribute's `:init` value.
     pub fn add_attribute(&mut self, class: ClassId, def: AttributeDef) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         def.validate()?;
         let c = self.catalog.class(class)?;
@@ -77,7 +77,7 @@ impl Database {
     /// Adds an IS-A edge; instances of `class` and its subclasses gain the
     /// newly inherited attributes at their `:init` values.
     pub fn add_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         let old = self.old_layouts(class);
         self.catalog.add_superclass(class, superclass)?;
@@ -90,7 +90,7 @@ impl Database {
     /// … referenced by instances of C and its subclasses through A are
     /// deleted according to (1)."
     pub fn remove_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         let old = self.old_layouts(class);
         self.catalog.remove_superclass(class, superclass)?;
@@ -107,7 +107,7 @@ impl Database {
     /// instances of subclasses survive, losing only the attributes C
     /// provided.
     pub fn drop_class(&mut self, class: ClassId) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         self.catalog.class(class)?;
         // Delete direct instances first — their composite references cascade
@@ -139,7 +139,7 @@ impl Database {
         attr: &str,
         provider: ClassId,
     ) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         let old = self.old_layouts(class);
         self.catalog.set_preferred_provider(class, attr, provider)?;

@@ -83,7 +83,7 @@ impl Database {
         change: AttrTypeChange,
         maintenance: Maintenance,
     ) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.txn_forbid_ddl()?;
         self.traversal_cache.bump();
         let class = self.catalog.class(referencing)?;
         let def = class

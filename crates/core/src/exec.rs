@@ -10,9 +10,9 @@
 //!
 //! * [`DirectEng`] wraps `&mut Database` and delegates to the engine's own
 //!   primitives, so the single-threaded entry points (`Database::make`,
-//!   `Database::set_attr`, …) keep their exact semantics: undo
-//!   before-images, transaction touch notes, traversal-cache generation
-//!   bumps, and serial-floor WAL notes all happen inside the primitives.
+//!   `Database::set_attr`, …) keep their exact semantics: transaction
+//!   touch notes, traversal-cache generation bumps, and serial-floor WAL
+//!   notes all happen inside the primitives.
 //! * [`OverlayEng`] runs the same semantics against `&Database` plus an
 //!   **external** [`Overlay`]: reads answer overlay-first, writes land
 //!   only in the overlay, and serial allocation uses the atomic counter
@@ -713,16 +713,6 @@ pub(crate) fn delete_raw<E: Eng>(e: &mut E, oid: Oid) -> DbResult<()> {
 // ----------------------------------------------------------------------
 
 impl Database {
-    fn overlay_eng<'a>(&'a self, ov: &'a mut Overlay) -> DbResult<OverlayEng<'a>> {
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "external-overlay execution cannot run while an overlay is installed"
-                    .into(),
-            });
-        }
-        Ok(OverlayEng { db: self, ov })
-    }
-
     /// [`Database::make`] executed against an external overlay: reads
     /// answer overlay-first, every write lands in `ov`, and the base
     /// engine is untouched — callable under a **shared** reference from
@@ -735,7 +725,7 @@ impl Database {
         values: Vec<(&str, Value)>,
         parents: Vec<(Oid, &str)>,
     ) -> DbResult<Oid> {
-        make_inner(&mut self.overlay_eng(ov)?, class, values, parents)
+        make_inner(&mut OverlayEng { db: self, ov }, class, values, parents)
     }
 
     /// [`Database::set_attr`] against an external overlay (see
@@ -747,7 +737,7 @@ impl Database {
         attr: &str,
         value: Value,
     ) -> DbResult<()> {
-        set_attr_inner(&mut self.overlay_eng(ov)?, oid, attr, value)
+        set_attr_inner(&mut OverlayEng { db: self, ov }, oid, attr, value)
     }
 
     /// [`Database::set_attr_weak`] against an external overlay (see
@@ -759,13 +749,13 @@ impl Database {
         attr: &str,
         value: Value,
     ) -> DbResult<()> {
-        set_attr_weak(&mut self.overlay_eng(ov)?, oid, attr, value)
+        set_attr_weak(&mut OverlayEng { db: self, ov }, oid, attr, value)
     }
 
     /// [`Database::delete`] against an external overlay (see
     /// [`Database::overlay_make`]).
     pub fn overlay_delete(&self, ov: &mut Overlay, root: Oid) -> DbResult<Vec<Oid>> {
-        delete_inner(&mut self.overlay_eng(ov)?, root)
+        delete_inner(&mut OverlayEng { db: self, ov }, root)
     }
 
     /// [`Database::make_component`] against an external overlay (see
@@ -777,7 +767,7 @@ impl Database {
         parent: Oid,
         attr: &str,
     ) -> DbResult<()> {
-        make_component_inner(&mut self.overlay_eng(ov)?, child, parent, attr)
+        make_component_inner(&mut OverlayEng { db: self, ov }, child, parent, attr)
     }
 
     /// [`Database::remove_component`] against an external overlay (see
@@ -789,7 +779,7 @@ impl Database {
         parent: Oid,
         attr: &str,
     ) -> DbResult<()> {
-        remove_component_inner(&mut self.overlay_eng(ov)?, child, parent, attr)
+        remove_component_inner(&mut OverlayEng { db: self, ov }, child, parent, attr)
     }
 
     /// [`Database::get`] answering overlay-first against an external
@@ -824,5 +814,28 @@ impl Database {
             Some(image) => image.is_some(),
             None => self.exists(oid),
         }
+    }
+
+    /// [`Database::instances_of`] answering overlay-first against an
+    /// external overlay: the transaction's creations join the extension
+    /// and its deletions leave it.
+    pub fn overlay_instances_of(&self, ov: &Overlay, class: ClassId, deep: bool) -> Vec<Oid> {
+        let mut out = self.instances_of(class, deep);
+        let in_scope = |c: ClassId| {
+            c == class || (deep && crate::schema::lattice::is_subclass_of(&self.catalog, c, class))
+        };
+        for (oid, e) in &ov.entries {
+            if !in_scope(oid.class) {
+                continue;
+            }
+            match (&e.image, e.created) {
+                (Some(_), true) => out.push(*oid),
+                (None, false) => out.retain(|o| o != oid),
+                _ => {}
+            }
+        }
+        out.sort();
+        out.dedup();
+        out
     }
 }

@@ -65,7 +65,6 @@ pub mod repair;
 pub mod schema;
 pub mod shard;
 pub mod txn;
-pub mod undo;
 pub mod value;
 
 pub use composite::Filter;

@@ -9,29 +9,17 @@
 //! open, every mutation it makes lands in a private [`Overlay`] —
 //! base pages and the WAL are untouched until commit.
 //!
-//! There are two ways to execute operations against an overlay:
-//!
-//! * the **`&self` execution API** ([`Database::overlay_make`],
-//!   [`Database::overlay_set_attr`], …): the overlay stays external and
-//!   the engine is only read, so any number of §7-disjoint writers can
-//!   execute in parallel under a *shared* engine latch — this is what
-//!   the concurrent layer uses;
-//! * **installation** ([`Database::overlay_install`] /
-//!   [`Database::overlay_take`]): the overlay is mounted inside the
-//!   engine so the ordinary `&mut self` entry points write into it —
-//!   retained for read-only snapshot views and tests.
-//!
-//! With an overlay installed:
-//!
-//! * [`Database::get`] / [`Database::exists`] / [`Database::instances_of`]
-//!   answer overlay-first, so the transaction reads its own writes and
-//!   the full operation semantics (topology rules, cascades, reverse
-//!   references) run unchanged;
-//! * the internal `save` / `insert_object` / `erase` primitives write
-//!   only the overlay;
-//! * atomic batches are skipped — there is nothing to journal yet;
-//! * the traversal cache is suppressed, so no overlay-derived entry can
-//!   leak to other transactions.
+//! The overlay always stays *external* to the engine. Operations execute
+//! against it through the `&self` API ([`Database::overlay_make`],
+//! [`Database::overlay_set_attr`], …): the full operation semantics
+//! (topology rules, cascades, reverse references) run unchanged, reads
+//! answer overlay-first so the transaction sees its own writes, and the
+//! engine itself is only read — so any number of §7-disjoint writers can
+//! execute in parallel under a *shared* engine latch. In-transaction
+//! views read the same way ([`Database::overlay_get`],
+//! [`Database::overlay_exists`], [`Database::overlay_instances_of`]) and
+//! never touch the traversal cache, so no overlay-derived entry can leak
+//! to other transactions.
 //!
 //! At commit, [`Database::overlay_apply`] replays the net effect into
 //! the base store as **one** atomic batch: a single contiguous WAL run
@@ -42,7 +30,7 @@
 use std::collections::HashMap;
 
 use crate::db::Database;
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
 use crate::object::Object;
 use crate::oid::Oid;
 
@@ -158,67 +146,16 @@ impl Overlay {
 }
 
 impl Database {
-    /// Install a transaction-private write overlay. Until
-    /// [`overlay_take`](Database::overlay_take), every mutation lands in
-    /// the overlay and every read answers overlay-first; the traversal
-    /// cache is suppressed. Exclusive with the single-threaded
-    /// transaction/undo scopes and with an open storage batch.
-    ///
-    /// This is engine plumbing for `corion-concurrent`, which installs
-    /// the overlay only while holding its exclusive latch.
-    pub fn overlay_install(&mut self, overlay: Overlay) -> DbResult<()> {
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "an overlay is already installed".into(),
-            });
-        }
-        if self.txn.is_some() || self.undo.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "overlays cannot be mixed with single-threaded transaction or undo scopes"
-                    .into(),
-            });
-        }
-        if self.store.in_atomic_batch() {
-            return Err(DbError::TransactionState {
-                reason: "overlays cannot be installed inside an open atomic batch".into(),
-            });
-        }
-        self.traversal_cache.set_suppressed(true);
-        self.overlay = Some(overlay);
-        Ok(())
-    }
-
-    /// Remove and return the installed overlay, re-enabling the
-    /// traversal cache. Returns `None` if no overlay is installed.
-    pub fn overlay_take(&mut self) -> Option<Overlay> {
-        let ov = self.overlay.take();
-        if ov.is_some() {
-            self.traversal_cache.set_suppressed(false);
-        }
-        ov
-    }
-
-    /// True while a write overlay is installed.
-    pub fn overlay_active(&self) -> bool {
-        self.overlay.is_some()
-    }
-
     /// Replay a transaction's net effect into the base store as **one**
     /// atomic batch: creations in creation order (so clustering hints
     /// resolve), then updates, then deletions. A single WAL commit
     /// marker covers the whole transaction, so crash recovery sees all
     /// of it or none of it.
     ///
-    /// Must be called with no overlay installed (commit first takes the
-    /// overlay out). On a storage error the batch aborts and, as with
-    /// any substrate failure, the caller must run
-    /// [`Database::recover`] before further mutations.
+    /// On a storage error the batch aborts and, as with any substrate
+    /// failure, the caller must run [`Database::recover`] before further
+    /// mutations.
     pub fn overlay_apply(&mut self, overlay: Overlay) -> DbResult<()> {
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "cannot apply an overlay while another is installed".into(),
-            });
-        }
         self.atomic(|db| {
             if overlay.serial_floor > 0 {
                 db.store.note_serial_floor(overlay.serial_floor);
@@ -283,15 +220,23 @@ mod tests {
         let (mut db, c) = db_with_class();
         let base = db.make(c, vec![("label", label("base"))], vec![]).unwrap();
 
-        db.overlay_install(Overlay::new()).unwrap();
-        db.set_attr(base, "label", label("changed")).unwrap();
-        let fresh = db.make(c, vec![("label", label("fresh"))], vec![]).unwrap();
-        assert_eq!(db.get_attr(base, "label").unwrap(), label("changed"));
-        assert_eq!(db.get_attr(fresh, "label").unwrap(), label("fresh"));
-        assert_eq!(db.instances_of(c, false).len(), 2);
+        let mut ov = Overlay::new();
+        db.overlay_set_attr(&mut ov, base, "label", label("changed"))
+            .unwrap();
+        let fresh = db
+            .overlay_make(&mut ov, c, vec![("label", label("fresh"))], vec![])
+            .unwrap();
+        assert_eq!(
+            db.overlay_get_attr(&ov, base, "label").unwrap(),
+            label("changed")
+        );
+        assert_eq!(
+            db.overlay_get_attr(&ov, fresh, "label").unwrap(),
+            label("fresh")
+        );
+        assert_eq!(db.overlay_instances_of(&ov, c, false).len(), 2);
 
-        // Dropping the overlay rolls everything back.
-        let ov = db.overlay_take().unwrap();
+        // The base never saw any of it; dropping the overlay rolls back.
         assert_eq!(ov.len(), 2);
         assert_eq!(db.get_attr(base, "label").unwrap(), label("base"));
         assert!(!db.exists(fresh));
@@ -306,34 +251,22 @@ mod tests {
             .unwrap();
         let updated = db.make(c, vec![("label", label("old"))], vec![]).unwrap();
 
-        db.overlay_install(Overlay::new()).unwrap();
-        let kept = db.make(c, vec![("label", label("kept"))], vec![]).unwrap();
-        let doomed = db
-            .make(c, vec![("label", label("doomed"))], vec![])
+        let mut ov = Overlay::new();
+        let kept = db
+            .overlay_make(&mut ov, c, vec![("label", label("kept"))], vec![])
             .unwrap();
-        db.delete(doomed).unwrap();
-        db.delete(victim).unwrap();
-        db.set_attr(updated, "label", label("new")).unwrap();
-        let ov = db.overlay_take().unwrap();
+        let doomed = db
+            .overlay_make(&mut ov, c, vec![("label", label("doomed"))], vec![])
+            .unwrap();
+        db.overlay_delete(&mut ov, doomed).unwrap();
+        db.overlay_delete(&mut ov, victim).unwrap();
+        db.overlay_set_attr(&mut ov, updated, "label", label("new"))
+            .unwrap();
 
         db.overlay_apply(ov).unwrap();
         assert!(db.exists(kept));
         assert!(!db.exists(doomed), "created-then-deleted must cancel out");
         assert!(!db.exists(victim));
         assert_eq!(db.get_attr(updated, "label").unwrap(), label("new"));
-    }
-
-    #[test]
-    fn overlay_rejects_mixing_with_transactions() {
-        let (mut db, _) = db_with_class();
-        db.begin_transaction().unwrap();
-        let err = db.overlay_install(Overlay::new()).unwrap_err();
-        assert!(matches!(err, DbError::TransactionState { .. }));
-        db.abort_transaction().unwrap();
-
-        db.overlay_install(Overlay::new()).unwrap();
-        let err = db.begin_transaction().unwrap_err();
-        assert!(matches!(err, DbError::TransactionState { .. }));
-        db.overlay_take().unwrap();
     }
 }

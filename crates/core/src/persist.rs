@@ -41,12 +41,12 @@ pub(crate) const META_FILE: &str = "meta.corion";
 
 impl Database {
     /// Serializes the whole database (schema, operation logs, objects) into
-    /// a self-contained byte image. Fails inside an undo scope (the image
+    /// a self-contained byte image. Fails inside a transaction (the image
     /// must be a committed state).
     pub fn dump(&mut self) -> DbResult<Vec<u8>> {
-        if self.in_undo_scope() {
-            return Err(DbError::SchemaChangeRejected {
-                reason: "cannot dump inside an open undo scope".into(),
+        if self.in_transaction() {
+            return Err(DbError::TransactionState {
+                reason: "cannot dump inside an open transaction".into(),
             });
         }
         let mut buf = Vec::new();
@@ -668,11 +668,20 @@ mod tests {
     }
 
     #[test]
-    fn dump_inside_undo_scope_is_rejected() {
-        let mut db = populated();
-        db.begin_undo().unwrap();
-        assert!(db.dump().is_err());
-        db.commit_undo().unwrap();
-        db.dump().unwrap();
+    fn dump_inside_a_transaction_is_rejected() {
+        let mut db = Database::new();
+        let part = db.define_class(ClassBuilder::new("Part")).unwrap();
+        db.make(part, vec![], vec![]).unwrap();
+        db.begin_transaction().unwrap();
+        db.make(part, vec![], vec![]).unwrap();
+        // An image taken here would hold the uncommitted instance.
+        assert!(matches!(
+            db.dump(),
+            Err(crate::DbError::TransactionState { .. })
+        ));
+        db.abort_transaction().unwrap();
+        let image = db.dump().unwrap();
+        let restored = Database::restore(&image, DbConfig::default()).unwrap();
+        assert_eq!(restored.instances_of(part, false).len(), 1);
     }
 }

@@ -21,9 +21,7 @@
 //!
 //! Scope mirrors ORION's transaction management \[GARZ88\]: object state
 //! only. DDL is rejected inside a transaction (the catalog is engine
-//! memory, outside the WAL's crash scope), transactions do not nest, and
-//! a transaction excludes the object-level [`undo`](crate::undo) scope —
-//! the two are alternative rollback mechanisms.
+//! memory, outside the WAL's crash scope), and transactions do not nest.
 //!
 //! [`Database::begin_transaction`]: Database::begin_transaction
 //! [`Database::commit_transaction`]: Database::commit_transaction
@@ -124,29 +122,17 @@ impl Database {
     /// one WAL commit marker, one flush, one traversal-cache generation
     /// bump for the whole group.
     ///
-    /// Transactions do not nest, exclude the [`begin_undo`] scope, and
-    /// reject DDL ([`define_class`] and the schema-evolution entry
-    /// points) — the catalog is engine memory the WAL cannot roll back.
+    /// Transactions do not nest and reject DDL ([`define_class`] and the
+    /// schema-evolution entry points) — the catalog is engine memory the
+    /// WAL cannot roll back.
     ///
     /// [`commit_transaction`]: Database::commit_transaction
     /// [`abort_transaction`]: Database::abort_transaction
-    /// [`begin_undo`]: Database::begin_undo
     /// [`define_class`]: Database::define_class
     pub fn begin_transaction(&mut self) -> DbResult<()> {
         if self.txn.is_some() {
             return Err(DbError::TransactionState {
                 reason: "a transaction is already open (transactions do not nest)".into(),
-            });
-        }
-        if self.undo.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "a transaction cannot open inside an undo scope".into(),
-            });
-        }
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "a transaction cannot open while a concurrent write overlay is installed"
-                    .into(),
             });
         }
         self.store.begin_atomic()?;
@@ -167,6 +153,18 @@ impl Database {
     /// True while a transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.txn.is_some()
+    }
+
+    /// Guard used by the DDL entry points: schema changes inside a
+    /// transaction could not be rolled back (the catalog is engine
+    /// memory, outside the WAL's crash scope), so they are rejected.
+    pub(crate) fn txn_forbid_ddl(&self) -> DbResult<()> {
+        if self.txn.is_some() {
+            return Err(DbError::TransactionState {
+                reason: "schema changes are not allowed inside a transaction".into(),
+            });
+        }
+        Ok(())
     }
 
     /// Commits the open transaction: one WAL flush makes every grouped
@@ -617,5 +615,136 @@ fn encode_images(inserts: &[(Object, Option<Oid>)]) -> Vec<Vec<u8>> {
         })
     } else {
         inserts.iter().map(|(obj, _)| encode_one(obj)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::attr::{AttributeDef, Domain};
+    use crate::schema::class::ClassBuilder;
+
+    fn setup() -> (Database, ClassId, ClassId) {
+        let mut db = Database::new();
+        let item = db
+            .define_class(ClassBuilder::new("Item").attr("n", Domain::Integer))
+            .unwrap();
+        let holder = db
+            .define_class(ClassBuilder::new("Holder").attr_composite(
+                "slot",
+                Domain::Class(item),
+                CompositeSpec {
+                    exclusive: true,
+                    dependent: true,
+                },
+            ))
+            .unwrap();
+        (db, item, holder)
+    }
+
+    #[test]
+    fn rollback_restores_attribute_values() {
+        let (mut db, item, _) = setup();
+        let o = db.make(item, vec![("n", Value::Int(1))], vec![]).unwrap();
+        db.begin_transaction().unwrap();
+        db.set_attr(o, "n", Value::Int(99)).unwrap();
+        assert_eq!(db.get_attr(o, "n").unwrap(), Value::Int(99));
+        db.abort_transaction().unwrap();
+        assert_eq!(db.get_attr(o, "n").unwrap(), Value::Int(1));
+    }
+
+    #[test]
+    fn rollback_removes_created_objects() {
+        let (mut db, item, _) = setup();
+        db.begin_transaction().unwrap();
+        let o = db.make(item, vec![], vec![]).unwrap();
+        assert!(db.exists(o));
+        db.abort_transaction().unwrap();
+        assert!(!db.exists(o));
+        assert!(db.instances_of(item, false).is_empty());
+    }
+
+    #[test]
+    fn rollback_resurrects_deleted_composite_objects() {
+        let (mut db, item, holder) = setup();
+        let i = db.make(item, vec![("n", Value::Int(7))], vec![]).unwrap();
+        let h = db
+            .make(holder, vec![("slot", Value::Ref(i))], vec![])
+            .unwrap();
+        db.begin_transaction().unwrap();
+        db.delete(h).unwrap();
+        assert!(!db.exists(h) && !db.exists(i), "dependent cascade ran");
+        db.abort_transaction().unwrap();
+        assert!(db.exists(h) && db.exists(i), "both resurrected");
+        assert_eq!(db.get_attr(h, "slot").unwrap(), Value::Ref(i));
+        assert_eq!(
+            db.get(i).unwrap().dx(),
+            vec![h],
+            "reverse reference restored"
+        );
+        db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn rollback_reverts_component_attachment() {
+        let (mut db, item, holder) = setup();
+        let i = db.make(item, vec![], vec![]).unwrap();
+        let h = db.make(holder, vec![], vec![]).unwrap();
+        db.begin_transaction().unwrap();
+        db.make_component(i, h, "slot").unwrap();
+        db.abort_transaction().unwrap();
+        assert_eq!(db.get_attr(h, "slot").unwrap(), Value::Null);
+        assert!(db.get(i).unwrap().reverse_refs.is_empty());
+        db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn commit_makes_changes_permanent() {
+        let (mut db, item, _) = setup();
+        let o = db.make(item, vec![("n", Value::Int(1))], vec![]).unwrap();
+        db.begin_transaction().unwrap();
+        db.set_attr(o, "n", Value::Int(2)).unwrap();
+        db.commit_transaction().unwrap();
+        assert_eq!(db.get_attr(o, "n").unwrap(), Value::Int(2));
+        assert!(
+            db.abort_transaction().is_err(),
+            "transaction already closed"
+        );
+    }
+
+    #[test]
+    fn scopes_do_not_nest_and_ddl_is_rejected() {
+        let (mut db, item, _) = setup();
+        db.begin_transaction().unwrap();
+        assert!(db.begin_transaction().is_err());
+        assert!(db
+            .add_attribute(item, AttributeDef::plain("x", Domain::Integer))
+            .is_err());
+        assert!(db.drop_attribute(item, "n").is_err());
+        db.commit_transaction().unwrap();
+        // Outside the transaction DDL works again.
+        db.add_attribute(item, AttributeDef::plain("x", Domain::Integer))
+            .unwrap();
+    }
+
+    #[test]
+    fn interleaved_mutations_restore_exactly() {
+        let (mut db, item, holder) = setup();
+        let i1 = db.make(item, vec![("n", Value::Int(1))], vec![]).unwrap();
+        let h = db
+            .make(holder, vec![("slot", Value::Ref(i1))], vec![])
+            .unwrap();
+        db.begin_transaction().unwrap();
+        // A messy transaction: detach, create, attach the new one, mutate.
+        db.set_attr(h, "slot", Value::Null).unwrap(); // deletes i1 (dependent orphan)
+        let i2 = db.make(item, vec![("n", Value::Int(2))], vec![]).unwrap();
+        db.make_component(i2, h, "slot").unwrap();
+        db.set_attr(i2, "n", Value::Int(3)).unwrap();
+        db.abort_transaction().unwrap();
+        assert!(db.exists(i1), "orphan-deleted component resurrected");
+        assert!(!db.exists(i2), "created component removed");
+        assert_eq!(db.get_attr(h, "slot").unwrap(), Value::Ref(i1));
+        assert_eq!(db.get_attr(i1, "n").unwrap(), Value::Int(1));
+        db.verify_integrity().unwrap();
     }
 }

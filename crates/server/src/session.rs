@@ -38,7 +38,7 @@ use corion_concurrent::{Snapshot, WriteTxn};
 use corion_core::schema::lattice;
 use corion_core::{
     query, ClassBuilder, ClassId, CompositeSpec, Database, DbError, DbResult, Domain, MakeSpec,
-    Object, Oid, ParentRef, Value,
+    Object, Oid, Overlay, ParentRef, Value,
 };
 use corion_protocol::{
     decode_request, encode_response, read_frame, write_frame, ErrorCode, FrameError, Request,
@@ -569,7 +569,9 @@ impl Session<'_> {
             Request::InstancesOf { class, deep } => {
                 self.authz_class(AuthType::Read, class)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[], |db| Ok(db.instances_of(class, deep))),
+                    Some(txn) => {
+                        txn.with_view(&[], |db, ov| Ok(db.overlay_instances_of(ov, class, deep)))
+                    }
                     None => self.inner.db.begin_read().instances_of(class, deep),
                 };
                 match r {
@@ -580,7 +582,7 @@ impl Session<'_> {
             Request::ComponentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| direct_components(db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |db, ov| direct_components(db, ov, oid)),
                     None => self.inner.db.begin_read().components_of(oid),
                 };
                 match r {
@@ -591,7 +593,9 @@ impl Session<'_> {
             Request::ParentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| Ok(db.get(oid)?.composite_parents())),
+                    Some(txn) => txn.with_view(&[oid], |db, ov| {
+                        Ok(db.overlay_get(ov, oid)?.composite_parents())
+                    }),
                     None => self.inner.db.begin_read().parents_of(oid),
                 };
                 match r {
@@ -602,7 +606,7 @@ impl Session<'_> {
             Request::AncestorsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| ancestors(db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |db, ov| ancestors(db, ov, oid)),
                     None => self.inner.db.begin_read().ancestors_of(oid),
                 };
                 match r {
@@ -613,7 +617,7 @@ impl Session<'_> {
             Request::SubtreeOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| subtree(db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |db, ov| subtree(db, ov, oid)),
                     None => self.inner.db.begin_read().subtree_of(oid),
                 };
                 match r {
@@ -630,8 +634,8 @@ impl Session<'_> {
                 self.authz_class(AuthType::Read, class)?;
                 let limit = (limit != 0).then_some(limit as usize);
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[], |db| {
-                        run_select(&View::Db(db), class, deep, &predicate, limit, |c| {
+                    Some(txn) => txn.with_view(&[], |db, ov| {
+                        run_select(&View::Txn(db, ov), class, deep, &predicate, limit, |c| {
                             let mut set: HashSet<ClassId> =
                                 lattice::descendants(db.catalog(), c).into_iter().collect();
                             set.insert(c);
@@ -776,8 +780,8 @@ impl Session<'_> {
 
     fn read_object(&mut self, oid: Oid) -> Response {
         let result: DbResult<(Object, Vec<String>)> = match &mut self.txn {
-            Some(txn) => txn.with_view(&[oid], |db| {
-                let obj = db.get(oid)?;
+            Some(txn) => txn.with_view(&[oid], |db, ov| {
+                let obj = db.overlay_get(ov, oid)?;
                 let names = db
                     .class(oid.class)?
                     .attrs
@@ -816,9 +820,10 @@ impl Session<'_> {
 // -------------------------------------------------------------------
 
 /// Direct components: references held in the object's composite
-/// attributes (same definition as `Snapshot::components_of`).
-fn direct_components(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
-    let obj = db.get(oid)?;
+/// attributes (same definition as `Snapshot::components_of`), as the
+/// transaction owning `ov` sees them.
+fn direct_components(db: &Database, ov: &Overlay, oid: Oid) -> DbResult<Vec<Oid>> {
+    let obj = db.overlay_get(ov, oid)?;
     let class = db.class(oid.class)?;
     let mut out = Vec::new();
     for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
@@ -829,16 +834,16 @@ fn direct_components(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
     Ok(out)
 }
 
-fn ancestors(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
+fn ancestors(db: &Database, ov: &Overlay, oid: Oid) -> DbResult<Vec<Oid>> {
     let mut seen = HashSet::new();
-    let mut queue = db.get(oid)?.composite_parents();
+    let mut queue = db.overlay_get(ov, oid)?.composite_parents();
     let mut out = Vec::new();
     while let Some(p) = queue.pop() {
         if !seen.insert(p) {
             continue;
         }
         out.push(p);
-        if let Ok(obj) = db.get(p) {
+        if let Ok(obj) = db.overlay_get(ov, p) {
             queue.extend(obj.composite_parents());
         }
     }
@@ -846,7 +851,7 @@ fn ancestors(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
     Ok(out)
 }
 
-fn subtree(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
+fn subtree(db: &Database, ov: &Overlay, oid: Oid) -> DbResult<Vec<Oid>> {
     let mut seen = HashSet::new();
     let mut queue = vec![oid];
     let mut out = Vec::new();
@@ -854,72 +859,56 @@ fn subtree(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
         if !seen.insert(o) {
             continue;
         }
-        if !db.exists(o) {
+        if !db.overlay_exists(ov, o) {
             continue;
         }
         out.push(o);
-        queue.extend(direct_components(db, o)?);
+        queue.extend(direct_components(db, ov, o)?);
     }
     Ok(out)
 }
 
 /// A read view the predicate evaluator is generic over: an MVCC
-/// snapshot (no transaction) or the engine under a transaction's
+/// snapshot (no transaction) or the engine read through a transaction's
 /// overlay (inside `with_view`).
 enum View<'a> {
     Snap(&'a Snapshot),
-    Db(&'a Database),
+    Txn(&'a Database, &'a Overlay),
 }
 
 impl View<'_> {
     fn get(&self, oid: Oid) -> DbResult<Object> {
         match self {
             View::Snap(s) => s.get(oid),
-            View::Db(d) => d.get(oid),
+            View::Txn(d, ov) => d.overlay_get(ov, oid),
         }
     }
 
     fn exists(&self, oid: Oid) -> DbResult<bool> {
         match self {
             View::Snap(s) => s.exists(oid),
-            View::Db(d) => Ok(d.exists(oid)),
+            View::Txn(d, ov) => Ok(d.overlay_exists(ov, oid)),
         }
     }
 
     fn attr(&self, oid: Oid, attr: &str) -> DbResult<Value> {
         match self {
             View::Snap(s) => s.get_attr(oid, attr),
-            View::Db(d) => {
-                let obj = d.get(oid)?;
-                let class = d.class(oid.class)?;
-                let idx = class
-                    .attr_index(attr)
-                    .ok_or_else(|| DbError::NoSuchAttribute {
-                        class: oid.class,
-                        attr: attr.into(),
-                    })?;
-                obj.attrs
-                    .get(idx)
-                    .cloned()
-                    .ok_or_else(|| DbError::NoSuchAttribute {
-                        class: oid.class,
-                        attr: attr.into(),
-                    })
-            }
+            View::Txn(d, ov) => d.overlay_get_attr(ov, oid, attr),
         }
     }
 
     fn instances_of(&self, class: ClassId, deep: bool) -> DbResult<Vec<Oid>> {
         match self {
             View::Snap(s) => s.instances_of(class, deep),
-            View::Db(d) => Ok(d.instances_of(class, deep)),
+            View::Txn(d, ov) => Ok(d.overlay_instances_of(ov, class, deep)),
         }
     }
 
     fn subtree(&self, oid: Oid) -> DbResult<Vec<Oid>> {
         match self {
             View::Snap(s) => s.subtree_of(oid),
-            View::Db(d) => subtree(d, oid),
+            View::Txn(d, ov) => subtree(d, ov, oid),
         }
     }
 }

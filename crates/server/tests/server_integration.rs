@@ -11,7 +11,7 @@ use corion_concurrent::ConcurrentDb;
 use corion_core::{ClassBuilder, CompositeSpec, Database, Domain, Oid, Value};
 use corion_protocol::{
     decode_response, encode_request, read_frame, write_frame, Delta, ErrorCode, Request, Response,
-    WireAuth, WireAuthObject, MAGIC, VERSION,
+    WireAuth, WireAuthObject, WirePredicate, MAGIC, VERSION,
 };
 use corion_server::{Server, ServerConfig};
 
@@ -81,6 +81,108 @@ fn open_transaction_reads_its_own_writes_before_commit() {
     assert!(!b.exists(oid).unwrap());
     a.abort().unwrap();
     assert!(!a.exists(oid).unwrap());
+
+    server.shutdown();
+}
+
+#[test]
+fn open_transaction_traversals_and_queries_see_its_uncommitted_state() {
+    let server = start_default();
+    let addr = server.local_addr();
+    let sorted = |mut v: Vec<Oid>| {
+        v.sort();
+        v
+    };
+
+    let mut admin = Client::connect(addr, 0).unwrap();
+    let doc = admin.class_by_name("Doc").unwrap();
+    let part = admin.class_by_name("Part").unwrap();
+    let old = admin
+        .make(part, vec![("n".into(), Value::Int(1))], vec![])
+        .unwrap();
+    let loose = admin
+        .make(part, vec![("n".into(), Value::Int(2))], vec![])
+        .unwrap();
+
+    // Inside one transaction: a new assembly with two new parts, one
+    // pre-existing part deleted and another attached.
+    let mut a = Client::connect(addr, 0).unwrap();
+    a.begin().unwrap();
+    let asm = a.make(doc, vec![], vec![]).unwrap();
+    let p1 = a
+        .make(
+            part,
+            vec![("n".into(), Value::Int(10))],
+            vec![(asm, "Parts".into())],
+        )
+        .unwrap();
+    let p2 = a
+        .make(
+            part,
+            vec![("n".into(), Value::Int(11))],
+            vec![(asm, "Parts".into())],
+        )
+        .unwrap();
+    a.delete(old).unwrap();
+    a.make_component(loose, asm, "Parts").unwrap();
+
+    let members = sorted(vec![p1, p2, loose]);
+    let obj = a.get(asm).unwrap();
+    assert_eq!(obj.oid, asm);
+    assert!(obj.parents.is_empty());
+    assert_eq!(a.get(loose).unwrap().parents, vec![asm]);
+    assert_eq!(a.instances_of(part, false).unwrap(), members);
+    assert_eq!(a.instances_of(doc, false).unwrap(), vec![asm]);
+    assert_eq!(sorted(a.components_of(asm).unwrap()), members);
+    assert_eq!(a.parents_of(loose).unwrap(), vec![asm]);
+    assert_eq!(a.ancestors_of(p1).unwrap(), vec![asm]);
+    assert_eq!(
+        sorted(a.subtree_of(asm).unwrap()),
+        sorted(vec![asm, p1, p2, loose])
+    );
+    assert_eq!(
+        sorted(
+            a.select(part, false, WirePredicate::HasCompositeParent, 0)
+                .unwrap()
+        ),
+        members
+    );
+    assert_eq!(
+        sorted(
+            a.select(part, false, WirePredicate::ComponentOf(asm), 0)
+                .unwrap()
+        ),
+        members
+    );
+    assert_eq!(
+        sorted(
+            a.select(part, false, WirePredicate::Gt("n".into(), Value::Int(5)), 0)
+                .unwrap()
+        ),
+        sorted(vec![p1, p2])
+    );
+
+    // Another session sees only the committed state.
+    let mut b = Client::connect(addr, 0).unwrap();
+    assert!(!b.exists(asm).unwrap());
+    assert_eq!(b.get(old).unwrap().oid, old);
+    assert!(b.get(loose).unwrap().parents.is_empty());
+    assert_eq!(
+        b.instances_of(part, false).unwrap(),
+        sorted(vec![old, loose])
+    );
+    assert!(b.instances_of(doc, false).unwrap().is_empty());
+    assert!(b.parents_of(loose).unwrap().is_empty());
+    assert!(b.ancestors_of(loose).unwrap().is_empty());
+    assert_eq!(b.subtree_of(loose).unwrap(), vec![loose]);
+    assert!(b
+        .select(part, false, WirePredicate::HasCompositeParent, 0)
+        .unwrap()
+        .is_empty());
+
+    a.commit().unwrap();
+    assert_eq!(b.instances_of(part, false).unwrap(), members);
+    assert_eq!(sorted(b.components_of(asm).unwrap()), members);
 
     server.shutdown();
 }

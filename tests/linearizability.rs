@@ -238,9 +238,9 @@ fn oracle_replay(log: &[(Lsn, Vec<LoggedOp>)], upto: Lsn) -> (Database, ClassId,
 /// The components of `root` as this transaction sees them (its own
 /// overlay included), via the locking read path.
 fn parts_of(txn: &mut corion::WriteTxn, root: Oid) -> Result<Vec<Oid>, DbError> {
-    txn.with_view(&[root], |db| {
+    txn.with_view(&[root], |db, ov| {
         let class = db.class(root.class)?;
-        let obj = db.get(root)?;
+        let obj = db.overlay_get(ov, root)?;
         let mut out = Vec::new();
         for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
             if def.composite.is_some() {
@@ -253,12 +253,12 @@ fn parts_of(txn: &mut corion::WriteTxn, root: Oid) -> Result<Vec<Oid>, DbError> 
 
 /// A parentless Part instance, if any (transaction view).
 fn free_part(txn: &mut corion::WriteTxn, part: ClassId, pick: u64) -> Result<Option<Oid>, DbError> {
-    txn.with_view(&[], |db| {
+    txn.with_view(&[], |db, ov| {
         let free: Vec<Oid> = db
-            .instances_of(part, false)
+            .overlay_instances_of(ov, part, false)
             .into_iter()
             .filter(|&o| {
-                db.get(o)
+                db.overlay_get(ov, o)
                     .map(|obj| obj.composite_parents().is_empty())
                     .unwrap_or(false)
             })

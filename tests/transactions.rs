@@ -1,6 +1,6 @@
-//! Full transaction semantics: §7 composite locking + engine-level undo.
-//! Locks make conflicting transactions take turns; the undo log makes
-//! aborts restore the exact before state.
+//! Full transaction semantics: §7 composite locking + engine
+//! transactions. Locks make conflicting transactions take turns;
+//! `abort_transaction` restores the exact before state.
 
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn aborted_update_leaves_no_trace() {
     composite_lockset(&db, a, LockIntent::Write)
         .acquire(&lm, txn.id())
         .unwrap();
-    db.begin_undo().unwrap();
+    db.begin_transaction().unwrap();
     // The transaction rips the assembly apart…
     db.set_attr(p, "n", Value::Int(99)).unwrap();
     let extra = db.make(part, vec![], vec![]).unwrap();
@@ -48,7 +48,7 @@ fn aborted_update_leaves_no_trace() {
     db.delete(a).unwrap(); // cascades into p and extra
     assert!(!db.exists(a) && !db.exists(p));
     // …then aborts.
-    db.rollback_undo().unwrap();
+    db.abort_transaction().unwrap();
     txn.abort();
     assert!(db.exists(a) && db.exists(p));
     assert!(!db.exists(extra));
@@ -64,7 +64,7 @@ fn aborted_update_leaves_no_trace() {
 fn serialised_writers_alternate_commit_and_abort() {
     // Two threads run read-modify-write transactions on one composite
     // object; even-numbered rounds abort. The final counter equals the
-    // number of committed rounds — locks serialise, undo erases aborts.
+    // number of committed rounds — locks serialise, abort erases.
     let mut db = Database::new();
     let counter_class = db
         .define_class(ClassBuilder::new("Counter").attr("n", Domain::Integer))
@@ -86,18 +86,18 @@ fn serialised_writers_alternate_commit_and_abort() {
                 let set = corion::lock::protocol::direct_lockset(c, true);
                 set.acquire(&lm, txn.id()).unwrap();
                 let mut db = db.lock();
-                db.begin_undo().unwrap();
+                db.begin_transaction().unwrap();
                 let Value::Int(n) = db.get_attr(c, "n").unwrap() else {
                     panic!()
                 };
                 db.set_attr(c, "n", Value::Int(n + 1)).unwrap();
                 let abort = (worker + round) % 2 == 0;
                 if abort {
-                    db.rollback_undo().unwrap();
+                    db.abort_transaction().unwrap();
                     drop(db);
                     txn.abort();
                 } else {
-                    db.commit_undo().unwrap();
+                    db.commit_transaction().unwrap();
                     drop(db);
                     txn.commit();
                 }
@@ -115,7 +115,7 @@ fn serialised_writers_alternate_commit_and_abort() {
 #[test]
 fn failed_make_is_already_atomic_without_undo() {
     // The engine's own rollback of half-created `make`s (multi-parent
-    // violation) composes with an open undo scope.
+    // violation) composes with an open transaction.
     let mut db = Database::new();
     let part = db.define_class(ClassBuilder::new("Part")).unwrap();
     let asm = db
@@ -130,11 +130,11 @@ fn failed_make_is_already_atomic_without_undo() {
         .unwrap();
     let a1 = db.make(asm, vec![], vec![]).unwrap();
     let a2 = db.make(asm, vec![], vec![]).unwrap();
-    db.begin_undo().unwrap();
+    db.begin_transaction().unwrap();
     assert!(db
         .make(part, vec![], vec![(a1, "parts"), (a2, "parts")])
         .is_err());
-    db.rollback_undo().unwrap();
+    db.abort_transaction().unwrap();
     assert_eq!(db.instances_of(part, false).len(), 0);
     db.verify_integrity().unwrap();
 }
@@ -415,19 +415,7 @@ mod public_txn {
             db.define_class(ClassBuilder::new("Late")),
             Err(DbError::TransactionState { .. })
         ));
-        // No undo scope inside a transaction…
-        assert!(matches!(
-            db.begin_undo(),
-            Err(DbError::TransactionState { .. })
-        ));
         db.abort_transaction().unwrap();
-        // …and no transaction inside an undo scope.
-        db.begin_undo().unwrap();
-        assert!(matches!(
-            db.begin_transaction(),
-            Err(DbError::TransactionState { .. })
-        ));
-        db.commit_undo().unwrap();
         // The engine is unharmed by the whole gauntlet.
         db.make(part, vec![("n", Value::Int(1))], vec![]).unwrap();
         db.verify_integrity().unwrap();
