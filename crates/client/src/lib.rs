@@ -26,14 +26,15 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use corion_core::{ClassId, Oid, Value};
 use corion_protocol::{
-    decode_response, encode_request, read_frame, write_frame, Delta, ErrorClass, ErrorCode,
-    FrameError, Request, Response, WireAttrDef, WireAuth, WireAuthObject, WireMakeSpec,
-    WirePredicate, MAGIC, VERSION,
+    decode_response, encode_request, is_timeout, read_frame, read_frame_by, write_frame, Delta,
+    ErrorClass, ErrorCode, FrameError, Request, Response, WireAttrDef, WireAuth, WireAuthObject,
+    WireMakeSpec, WirePredicate, MAGIC, VERSION,
 };
 
 /// Why a client call failed.
@@ -118,7 +119,10 @@ pub struct Event {
 
 /// A connected, handshaken session.
 pub struct Client {
-    stream: TcpStream,
+    /// Responses are read through the buffer, so a frame that arrives in
+    /// one segment is one `read`; requests go straight to the socket
+    /// (`get_ref`).
+    conn: BufReader<TcpStream>,
     /// Server-assigned session id (diagnostics).
     session: u64,
 }
@@ -131,7 +135,10 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs, user: u32) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let mut client = Client { stream, session: 0 };
+        let mut client = Client {
+            conn: BufReader::new(stream),
+            session: 0,
+        };
         match client.call(&Request::Hello {
             magic: MAGIC,
             version: VERSION,
@@ -153,8 +160,8 @@ impl Client {
     /// Sends one request and reads one response, surfacing wire-level
     /// `Error` responses as [`ClientError::Server`].
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.stream, &encode_request(req))?;
-        let payload = read_frame(&mut self.stream)?;
+        write_frame(&mut self.conn.get_ref(), &encode_request(req))?;
+        let payload = read_frame(&mut self.conn)?;
         match decode_response(&payload).map_err(|e| ClientError::Io(e.to_string()))? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             resp => Ok(resp),
@@ -437,7 +444,8 @@ impl Client {
     pub fn subscribe(mut self) -> Result<Subscriber> {
         match self.call(&Request::Subscribe)? {
             Response::SubscribeOk { start_lsn } => Ok(Subscriber {
-                stream: self.stream,
+                conn: self.conn,
+                timeout: None,
                 start_lsn,
             }),
             other => Err(unexpected("SubscribeOk", &other)),
@@ -467,7 +475,10 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
 /// order; every `commit_lsn` is strictly greater than
 /// [`Subscriber::start_lsn`].
 pub struct Subscriber {
-    stream: TcpStream,
+    /// Carries over whatever the client had already buffered.
+    conn: BufReader<TcpStream>,
+    /// The socket's read timeout as last set; it is set only on a change.
+    timeout: Option<Duration>,
     start_lsn: u64,
 }
 
@@ -481,38 +492,36 @@ impl Subscriber {
     /// `ShuttingDown`) surfaces as [`ClientError::Server`]; a closed
     /// connection as [`ClientError::Io`].
     pub fn next_event(&mut self) -> Result<Event> {
-        let payload = read_frame(&mut self.stream)?;
-        match decode_response(&payload).map_err(|e| ClientError::Io(e.to_string()))? {
-            Response::Event { commit_lsn, deltas } => Ok(Event { commit_lsn, deltas }),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(unexpected("Event", &other)),
-        }
+        self.set_timeout(None)?;
+        decode_event(&read_frame(&mut self.conn)?)
     }
 
-    /// Like [`Subscriber::next_event`] but gives up after `timeout`,
-    /// returning `Ok(None)`. Needed by tests that assert "no further
-    /// events".
+    /// Like [`Subscriber::next_event`] but returns `Ok(None)` when no
+    /// byte of the next event arrives within `timeout`. Needed by tests
+    /// that assert "no further events". An event that has started
+    /// arriving is read to its end, so the stream stays in step.
     pub fn next_event_timeout(&mut self, timeout: Duration) -> Result<Option<Event>> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        let result = match read_frame(&mut self.stream) {
-            Ok(payload) => {
-                match decode_response(&payload).map_err(|e| ClientError::Io(e.to_string()))? {
-                    Response::Event { commit_lsn, deltas } => {
-                        Ok(Some(Event { commit_lsn, deltas }))
-                    }
-                    Response::Error { code, message } => Err(ClientError::Server { code, message }),
-                    other => Err(unexpected("Event", &other)),
-                }
-            }
-            Err(FrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
-        };
-        self.stream.set_read_timeout(None)?;
-        result
+        self.set_timeout(Some(timeout))?;
+        if let Err(e) = self.conn.fill_buf() {
+            let waited = is_timeout(&e) || e.kind() == std::io::ErrorKind::Interrupted;
+            return if waited { Ok(None) } else { Err(e.into()) };
+        }
+        decode_event(&read_frame_by(&mut self.conn, None)?).map(Some)
+    }
+
+    fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
+        if self.timeout != timeout {
+            self.conn.get_ref().set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        Ok(())
+    }
+}
+
+fn decode_event(payload: &[u8]) -> Result<Event> {
+    match decode_response(payload).map_err(|e| ClientError::Io(e.to_string()))? {
+        Response::Event { commit_lsn, deltas } => Ok(Event { commit_lsn, deltas }),
+        Response::Error { code, message } => Err(ClientError::Server { code, message }),
+        other => Err(unexpected("Event", &other)),
     }
 }

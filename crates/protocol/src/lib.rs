@@ -35,7 +35,7 @@ pub mod frame;
 pub mod message;
 
 pub use error::{ErrorClass, ErrorCode};
-pub use frame::{read_frame, write_frame, FrameError};
+pub use frame::{is_timeout, read_frame, read_frame_by, write_frame, FrameError};
 pub use message::{
     decode_request, decode_response, encode_request, encode_response, kind_names, Delta, Request,
     Response, WireAttrDef, WireAuth, WireAuthObject, WireDomain, WireMakeSpec, WireParent,

@@ -42,7 +42,7 @@ pub mod metrics;
 mod session;
 pub mod stream;
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,9 +93,14 @@ pub(crate) struct Inner {
     pub(crate) streams: Arc<ChangeStreams>,
     pub(crate) metrics: Arc<ServerMetrics>,
     /// Set by [`Server::shutdown`] or a superuser `Shutdown` request;
-    /// the accept loop and every session poll it.
+    /// every session polls it, and the accept loop checks it after each
+    /// `accept` (see [`Inner::wake_accept`]).
     pub(crate) shutdown: AtomicBool,
     pub(crate) idle_timeout: Duration,
+    /// The listener's bound address.
+    addr: SocketAddr,
+    /// True until the accept loop has exited and closed the listener.
+    accepting: AtomicBool,
     /// Live-session count — the admission semaphore.
     sessions: AtomicUsize,
     max_sessions: usize,
@@ -114,11 +119,37 @@ impl Drop for SessionPermit {
     }
 }
 
+/// Clears [`Inner::accepting`] however the accept loop ends.
+struct AcceptGuard(Arc<Inner>);
+
+impl Drop for AcceptGuard {
+    fn drop(&mut self) {
+        self.0.accepting.store(false, Ordering::SeqCst);
+    }
+}
+
+impl Inner {
+    /// Wakes the accept loop, blocked in `accept`, after `shutdown` was
+    /// set: connects to the listener over loopback, again until the loop
+    /// has exited (a connect can fail, e.g. at the fd limit).
+    pub(crate) fn wake_accept(&self) {
+        let ip = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        let target = SocketAddr::new(ip, self.addr.port());
+        while self.accepting.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&target, session::POLL);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
 /// A running CORION server. Dropping the handle does **not** stop it;
 /// call [`Server::shutdown`].
 pub struct Server {
     inner: Arc<Inner>,
-    addr: SocketAddr,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     tailer_thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -135,7 +166,6 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let registry = db.with_read(|d| d.metrics_registry().clone());
         let metrics = Arc::new(ServerMetrics::new(&registry));
@@ -147,6 +177,8 @@ impl Server {
             metrics: Arc::clone(&metrics),
             shutdown: AtomicBool::new(false),
             idle_timeout: config.idle_timeout,
+            addr,
+            accepting: AtomicBool::new(true),
             sessions: AtomicUsize::new(0),
             max_sessions: config.max_sessions,
             next_session: AtomicU64::new(1),
@@ -165,7 +197,6 @@ impl Server {
 
         Ok(Server {
             inner,
-            addr,
             accept_thread: Some(accept_thread),
             tailer_thread: Some(tailer_thread),
         })
@@ -173,7 +204,7 @@ impl Server {
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr
     }
 
     /// True once [`Server::shutdown`] was called or a superuser sent
@@ -187,6 +218,7 @@ impl Server {
     /// (≤ ~50 ms) and close with `ShuttingDown`.
     pub fn shutdown(mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.wake_accept();
         self.join_threads();
     }
 
@@ -207,27 +239,25 @@ impl Server {
     }
 }
 
-/// How long the accept loop sleeps when `accept` would block.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long the accept loop backs off after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
 
+/// Blocks in `accept`; shutdown wakes it with a connect
+/// ([`Inner::wake_accept`]), so the flag is checked after each return.
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
+    let _accepting = AcceptGuard(Arc::clone(&inner));
     loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         match listener.accept() {
+            _ if inner.shutdown.load(Ordering::SeqCst) => return,
             Ok((stream, _peer)) => {
                 inner.metrics.connections.inc();
                 admit(stream, &inner);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
                 // Listener broke (fd limit, socket error): back off and
                 // retry rather than silently dying.
-                std::thread::sleep(ACCEPT_POLL);
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }

@@ -27,11 +27,12 @@
 //! auth store **outside** engine latch.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use corion_authz::{AuthObject, AuthType, Authorization, Decision, Sign, Strength, UserId};
 use corion_concurrent::{Snapshot, WriteTxn};
@@ -41,13 +42,15 @@ use corion_core::{
     Object, Oid, Overlay, ParentRef, Value,
 };
 use corion_protocol::{
-    decode_request, encode_response, read_frame, write_frame, ErrorCode, FrameError, Request,
-    Response, WireAuth, WireAuthObject, WireDomain, WireParent, WirePredicate, MAGIC, VERSION,
+    decode_request, encode_response, is_timeout, read_frame_by, write_frame, ErrorCode, FrameError,
+    Request, Response, WireAuth, WireAuthObject, WireDomain, WireParent, WirePredicate, MAGIC,
+    VERSION,
 };
 
 use crate::Inner;
 
-/// Granularity of the idle/shutdown poll while waiting for a request.
+/// Granularity of the idle/shutdown poll while waiting for a request:
+/// the socket's read timeout for the whole session.
 pub(crate) const POLL: Duration = Duration::from_millis(50);
 /// Once a frame has started arriving, how long the rest may take.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
@@ -66,7 +69,10 @@ enum Wait {
 
 struct Session<'a> {
     inner: &'a Arc<Inner>,
-    stream: TcpStream,
+    /// Requests are read through the buffer, so a frame that arrives in
+    /// one segment is one `read`, and requests sent together are read
+    /// together. Responses go straight to the socket (`get_ref`).
+    conn: BufReader<TcpStream>,
     id: u64,
     user: UserId,
     txn: Option<WriteTxn>,
@@ -80,9 +86,12 @@ struct Session<'a> {
 /// modes close the connection.
 pub(crate) fn run(inner: Arc<Inner>, stream: TcpStream, id: u64) {
     let _ = stream.set_nodelay(true);
+    if stream.set_read_timeout(Some(POLL)).is_err() {
+        return;
+    }
     let mut session = Session {
         inner: &inner,
-        stream,
+        conn: BufReader::new(stream),
         id,
         user: UserId(0),
         txn: None,
@@ -97,7 +106,10 @@ impl Session<'_> {
         if matches!(resp, Response::Error { .. }) {
             self.inner.metrics.errors.inc();
         }
-        Ok(write_frame(&mut self.stream, &encode_response(resp))?)
+        Ok(write_frame(
+            &mut self.conn.get_ref(),
+            &encode_response(resp),
+        )?)
     }
 
     fn send_error(
@@ -111,27 +123,20 @@ impl Session<'_> {
         })
     }
 
-    /// Blocks until a frame is available, the peer closes, the idle
-    /// timeout elapses, or the server shuts down. Uses short `peek`
-    /// timeouts so shutdown is noticed promptly and a frame is only read
-    /// once its first byte has arrived (no torn mid-frame timeouts).
+    /// Blocks until a frame has started arriving (at once when bytes are
+    /// already buffered), the peer closes, the idle timeout elapses, or
+    /// the server shuts down. Each empty read waits one `POLL`, so
+    /// shutdown is noticed promptly.
     fn wait_for_frame(&mut self) -> Wait {
         let mut idle = Duration::ZERO;
-        let mut byte = [0u8; 1];
         loop {
             if self.inner.shutdown.load(Ordering::SeqCst) {
                 return Wait::ShuttingDown;
             }
-            if self.stream.set_read_timeout(Some(POLL)).is_err() {
-                return Wait::Closed;
-            }
-            match self.stream.peek(&mut byte) {
-                Ok(0) => return Wait::Closed,
+            match self.conn.fill_buf() {
+                Ok([]) => return Wait::Closed,
                 Ok(_) => return Wait::Ready,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
+                Err(e) if is_timeout(&e) => {
                     idle += POLL;
                     if idle >= self.inner.idle_timeout {
                         return Wait::Idle;
@@ -158,8 +163,7 @@ impl Session<'_> {
                     return Ok(None);
                 }
             }
-            let _ = self.stream.set_read_timeout(Some(FRAME_TIMEOUT));
-            let payload = read_frame(&mut self.stream)?;
+            let payload = read_frame_by(&mut self.conn, Some(Instant::now() + FRAME_TIMEOUT))?;
             match decode_request(&payload) {
                 Ok(req) => return Ok(Some(req)),
                 Err(e) => {
@@ -226,8 +230,11 @@ impl Session<'_> {
                         continue;
                     }
                     self.inner.shutdown.store(true, Ordering::SeqCst);
-                    self.send(&Response::Ok)?;
-                    return Ok(());
+                    // Reply before waking the accept loop: `corion serve`
+                    // exits once that loop has.
+                    let sent = self.send(&Response::Ok);
+                    self.inner.wake_accept();
+                    return sent;
                 }
                 other => {
                     let resp = self.dispatch(other);
@@ -264,7 +271,11 @@ impl Session<'_> {
         self.send(&Response::SubscribeOk {
             start_lsn: sub.start_lsn,
         })?;
-        let mut byte = [0u8; 1];
+        // From here a read only checks whether the subscriber has gone.
+        let _ = self
+            .conn
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_millis(1)));
         loop {
             if self.inner.shutdown.load(Ordering::SeqCst) {
                 let _ = self.send_error(ErrorCode::ShuttingDown, "server is shutting down");
@@ -280,15 +291,9 @@ impl Session<'_> {
                 Err(RecvTimeoutError::Timeout) => {
                     // Detect a departed subscriber so the tailer's sender
                     // list stays clean.
-                    let _ = self.stream.set_read_timeout(Some(Duration::from_millis(1)));
-                    match self.stream.peek(&mut byte) {
-                        Ok(0) => return Ok(()),
-                        Err(e)
-                            if e.kind() != std::io::ErrorKind::WouldBlock
-                                && e.kind() != std::io::ErrorKind::TimedOut =>
-                        {
-                            return Ok(());
-                        }
+                    match self.conn.fill_buf() {
+                        Ok([]) => return Ok(()),
+                        Err(e) if !is_timeout(&e) => return Ok(()),
                         _ => {}
                     }
                 }

@@ -2,6 +2,7 @@
 //! cross-session visibility, parallel commits, change-stream ordering,
 //! admission control, idle timeouts, and §6 authorization enforcement.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -355,27 +356,12 @@ fn idle_sessions_are_closed_with_a_typed_timeout() {
         idle_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_frame(
-        &mut stream,
-        &encode_request(&Request::Hello {
-            magic: MAGIC,
-            version: VERSION,
-            user: 0,
-        }),
-    )
-    .unwrap();
-    let hello_ok = read_frame(&mut stream).unwrap();
-    assert!(matches!(
-        decode_response(&hello_ok).unwrap(),
-        Response::HelloOk { .. }
-    ));
+    let mut stream = raw_session(&server);
     // Send nothing: the server must close us with IdleTimeout.
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let payload = read_frame(&mut stream).unwrap();
-    match decode_response(&payload).unwrap() {
+    match read_response(&mut stream) {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::IdleTimeout),
         other => panic!("wanted IdleTimeout error, got {other:?}"),
     }
@@ -457,4 +443,83 @@ fn wire_shutdown_stops_the_server() {
             Ok(_) => panic!("server still accepting after shutdown"),
         }
     }
+}
+
+#[test]
+fn shutdown_of_a_server_that_never_accepted_returns_promptly() {
+    let server = start_default();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown did not wake the blocked accept within 1 s");
+}
+
+/// A raw connection past the handshake, as the superuser.
+fn raw_session(server: &Server) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let hello = Request::Hello {
+        magic: MAGIC,
+        version: VERSION,
+        user: 0,
+    };
+    write_frame(&mut stream, &encode_request(&hello)).unwrap();
+    assert!(matches!(
+        decode_response(&read_frame(&mut stream).unwrap()).unwrap(),
+        Response::HelloOk { .. }
+    ));
+    stream
+}
+
+fn read_response(stream: &mut TcpStream) -> Response {
+    decode_response(&read_frame(stream).unwrap()).unwrap()
+}
+
+#[test]
+fn a_request_whose_payload_lags_its_header_is_answered() {
+    let server = start_default();
+    let mut stream = raw_session(&server);
+    let ping = encode_request(&Request::Ping);
+    stream
+        .write_all(&(ping.len() as u32).to_le_bytes())
+        .unwrap();
+    // Longer than the server's 50 ms poll: the frame must survive it.
+    std::thread::sleep(Duration::from_millis(150));
+    stream.write_all(&ping).unwrap();
+    assert_eq!(read_response(&mut stream), Response::Pong);
+    server.shutdown();
+}
+
+#[test]
+fn requests_sent_in_one_write_are_answered_in_order() {
+    let server = start_default();
+    let mut stream = raw_session(&server);
+    let mut both = Vec::new();
+    write_frame(&mut both, &encode_request(&Request::Ping)).unwrap();
+    write_frame(&mut both, &encode_request(&Request::ListClasses)).unwrap();
+    stream.write_all(&both).unwrap();
+    assert_eq!(read_response(&mut stream), Response::Pong);
+    assert!(matches!(
+        read_response(&mut stream),
+        Response::OkClasses(classes) if classes.len() == 2
+    ));
+    server.shutdown();
+}
+
+#[test]
+fn an_undecodable_request_is_answered_and_the_session_stays_open() {
+    let server = start_default();
+    let mut stream = raw_session(&server);
+    // Well framed, but no message has kind 0xEE.
+    write_frame(&mut stream, &[0xEE, 1, 2, 3]).unwrap();
+    match read_response(&mut stream) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("wanted a Protocol error, got {other:?}"),
+    }
+    write_frame(&mut stream, &encode_request(&Request::Ping)).unwrap();
+    assert_eq!(read_response(&mut stream), Response::Pong);
+    server.shutdown();
 }
